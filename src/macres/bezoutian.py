@@ -12,10 +12,10 @@ from .corering import (
     MPoly,
     ParamRing,
     monomial_key,
-    poly_exact_div,
     scalar_from_int,
     specialize,
 )
+from .linalg import LabeledMatrix, minor_det
 
 
 class PolySystem:
@@ -162,72 +162,14 @@ def incremental_quotient(sys, i, j):
     return MPoly(2 * n, f.domain, out)
 
 
-def _poly_bareiss_det(grid, nvars, domain):
-    """Fraction-free determinant of a grid of MPoly entries."""
-    n = len(grid)
-    if n == 0:
-        return MPoly.constant(nvars, domain, scalar_from_int(domain, 1))
-    a = [list(row) for row in grid]
-    sign = 1
-    prev = MPoly.constant(nvars, domain, scalar_from_int(domain, 1))
-    for k in range(n - 1):
-        best = None
-        for r in range(k, n):
-            for c in range(k, n):
-                if a[r][c].is_zero():
-                    continue
-                w = a[r][c].term_count()
-                if best is None or w < best[0]:
-                    best = (w, r, c)
-        if best is None:
-            return MPoly.zero(nvars, domain)
-        _, pr, pc = best
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        if pc != k:
-            for row in a:
-                row[k], row[pc] = row[pc], row[k]
-            sign = -sign
-        piv = a[k][k]
-        for r in range(k + 1, n):
-            ark = a[r][k]
-            for c in range(k + 1, n):
-                num = a[r][c] * piv - ark * a[k][c]
-                a[r][c] = poly_exact_div(num, prev)
-            a[r][k] = MPoly.zero(nvars, domain)
-        prev = piv
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
-def _poly_cofactor_det(grid, nvars, domain):
-    n = len(grid)
-    if n == 0:
-        return MPoly.constant(nvars, domain, scalar_from_int(domain, 1))
-    if n == 1:
-        return grid[0][0]
-    total = MPoly.zero(nvars, domain)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in grid[1:]]
-        term = grid[0][j] * _poly_cofactor_det(minor, nvars, domain)
-        total = total - term if j % 2 else total + term
-    return total
-
-
-def bezoutian(sys, method="bareiss"):
+def bezoutian(sys):
     """Determinant of the incremental-quotient matrix (rows indexed by
-    the polynomial, columns by the interpolation position)."""
+    the polynomial, columns by the interpolation position), expanded by
+    division-free memoized minors."""
     n = sys.n
     grid = [[incremental_quotient(sys, i, j) for j in range(1, n + 1)]
             for i in range(1, n + 1)]
-    if method == "cofactor":
-        poly = _poly_cofactor_det(grid, 2 * n, sys.domain)
-    elif method == "bareiss":
-        poly = _poly_bareiss_det(grid, 2 * n, sys.domain)
-    else:
-        raise ValueError("unknown method %r" % (method,))
-    return Bezoutian(sys, poly)
+    return Bezoutian(sys, minor_det(grid, MPoly.one(2 * n, sys.domain)))
 
 
 def delta_slices(bez, t):
@@ -255,8 +197,6 @@ def delta_slices(bez, t):
 def delta_matrix(sys, t, bez=None):
     """LabeledMatrix of the slice coefficients: rows are the degree-t
     monomials, columns the dual slots T_g with |g| = tcrit - t."""
-    from .linalg import LabeledMatrix
-
     if bez is None:
         bez = bezoutian(sys)
     n = sys.n
@@ -287,4 +227,4 @@ def jacobian(sys):
 
     n = sys.n
     grid = [[derivative(sys.polys[i], j) for j in range(n)] for i in range(n)]
-    return _poly_bareiss_det(grid, n, sys.domain)
+    return minor_det(grid, MPoly.one(n, sys.domain))

@@ -100,6 +100,17 @@ class ParamRing:
         return "ParamRing(%d params)" % self.nparams
 
 
+def _packed_divides(a, b):
+    """Whether the packed monomial a divides the packed monomial b,
+    checked field by field."""
+    while a:
+        if (a & _FIELD_MAX) > (b & _FIELD_MAX):
+            return False
+        a >>= _FIELD_BITS
+        b >>= _FIELD_BITS
+    return True
+
+
 class ParamPoly:
     """Sparse integer polynomial over a ParamRing.
 
@@ -206,23 +217,28 @@ class ParamPoly:
         if self.is_zero():
             return self.ring.zero()
         kq, cq = other._leading()
+        ring = self.ring
+        if len(other.terms) == 1:
+            # a constant or monomial divisor divides term by term
+            quo = {}
+            for k, c in self.terms.items():
+                if not _packed_divides(kq, k):
+                    raise InexactDivisionError("monomial not divisible")
+                q, r = divmod(c, cq)
+                if r:
+                    raise InexactDivisionError("coefficient not divisible")
+                quo[k - kq] = q
+            return ParamPoly(ring, quo)
         rem = dict(self.terms)
         quo = {}
-        ring = self.ring
-        npar = ring.nparams
         while rem:
             kr = max(rem)
             cr = rem[kr]
             kd = kr - kq
             if kd < 0:
                 raise InexactDivisionError("monomial under divisor's leading monomial")
-            # componentwise divisibility of the packed exponents
-            a, b = kr, kq
-            for _ in range(npar):
-                if (a & _FIELD_MAX) < (b & _FIELD_MAX):
-                    raise InexactDivisionError("leading monomial not divisible")
-                a >>= _FIELD_BITS
-                b >>= _FIELD_BITS
+            if not _packed_divides(kq, kr):
+                raise InexactDivisionError("leading monomial not divisible")
             q, r = divmod(cr, cq)
             if r:
                 raise InexactDivisionError("leading coefficient not divisible")
@@ -391,6 +407,10 @@ class MPoly:
         return MPoly(nvars, domain, {(0,) * nvars: c})
 
     @staticmethod
+    def one(nvars, domain):
+        return MPoly.constant(nvars, domain, scalar_one(domain))
+
+    @staticmethod
     def variable(nvars, domain, i):
         e = [0] * nvars
         e[i] = 1
@@ -521,49 +541,6 @@ def poly_arith(p, q, kind):
                     out[e] = s
         return MPoly(p.nvars, p.domain, out)
     raise ValueError("unknown kind %r" % (kind,))
-
-
-def poly_exact_div(p, q):
-    """Exact polynomial division p/q over the shared domain.
-
-    Leading terms are taken under the canonical monomial order; when q
-    divides p the greedy reduction terminates with remainder zero, and
-    any obstruction raises InexactDivisionError.
-    """
-    if p.nvars != q.nvars:
-        raise ValueError("variable-count mismatch")
-    if p.domain != q.domain and p.domain is not q.domain:
-        raise MixedScalarError("operands over different coefficient domains")
-    if q.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return MPoly.zero(p.nvars, p.domain)
-    eq = max(q.terms, key=monomial_key)
-    cq = q.terms[eq]
-    rem = dict(p.terms)
-    quo = {}
-    while rem:
-        er = max(rem, key=monomial_key)
-        cr = rem[er]
-        ed = tuple(a - b for a, b in zip(er, eq))
-        if any(x < 0 for x in ed):
-            raise InexactDivisionError("leading monomial not divisible")
-        cd = scalar_exact_div(cr, cq)
-        s = quo.get(ed)
-        s = cd if s is None else s + cd
-        if scalar_is_zero(s):
-            quo.pop(ed, None)
-        else:
-            quo[ed] = s
-        for e2, c2 in q.terms.items():
-            e = tuple(a + b for a, b in zip(ed, e2))
-            t = rem.get(e)
-            t = -(cd * c2) if t is None else t - cd * c2
-            if scalar_is_zero(t):
-                rem.pop(e, None)
-            else:
-                rem[e] = t
-    return MPoly(p.nvars, p.domain, quo)
 
 
 def specialize(p, assignment):

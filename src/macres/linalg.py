@@ -2,13 +2,16 @@
 
 Matrices carry row and column labels (monomials, dual monomials,
 coefficient slices, multiplier tags) so that structured submatrices can
-be cut out by label.  Determinants use Bareiss elimination, whose
-divisions are exact in any integral domain; characteristic polynomials
-use the division-free Berkowitz algorithm.
+be cut out by label.  Determinants of integer and rational matrices use
+Bareiss elimination, whose divisions are exact in any integral domain;
+determinants with polynomial entries use division-free memoized minor
+expansion; characteristic polynomials use the division-free Berkowitz
+algorithm.
 """
 
 from .corering import (
     ParamPoly,
+    ParamRing,
     scalar_exact_div,
     scalar_is_zero,
     scalar_one,
@@ -124,11 +127,57 @@ def _pivot_weight(c):
     return 1
 
 
+def minor_det(grid, one):
+    """Determinant of a square grid by Laplace expansion from the last
+    row up, keeping one level of minors keyed by column-set bitmask.
+
+    Division-free, so it needs only *, +, - and is_zero() from the
+    entries (Gentleman & Johnson, ACM TOMS 2(3), 1976); one is the
+    entries' unit and the determinant of the empty grid.  Zero entries
+    are skipped and zero minors dropped, so sparse grids stay cheap.
+    """
+    n = len(grid)
+    minors = {0: one}
+    for i in range(n - 1, -1, -1):
+        row = grid[i]
+        nxt = {}
+        for mask, minor in minors.items():
+            # sign of column j in the expansion along the top row of
+            # rows i..n-1 is the parity of the chosen columns before it
+            odd = False
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    odd = not odd
+                    continue
+                a = row[j]
+                if a.is_zero():
+                    continue
+                term = a * minor
+                key = mask | bit
+                prev = nxt.get(key)
+                if prev is None:
+                    nxt[key] = -term if odd else term
+                else:
+                    nxt[key] = prev - term if odd else prev + term
+        minors = {k: v for k, v in nxt.items() if not v.is_zero()}
+        if not minors:
+            return one - one
+    return minors[(1 << n) - 1]
+
+
 def bareiss_det(m):
-    """Exact determinant by fraction-free elimination with full
-    pivoting.  The empty matrix has determinant 1."""
+    """Exact determinant of a square LabeledMatrix; the empty matrix
+    has determinant 1.
+
+    Integer and Fraction matrices use fraction-free Bareiss elimination
+    with full pivoting.  Matrices over a ParamRing use minor_det, which
+    avoids the exact polynomial divisions Bareiss would need.
+    """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
+    if isinstance(m.domain, ParamRing):
+        return minor_det(m.entries, m.domain.one())
     n = m.nrows
     if n == 0:
         return scalar_one(m.domain)

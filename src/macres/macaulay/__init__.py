@@ -8,5 +8,4 @@ from .assembly import (
     resultant_generic,
     resultant_specialized,
     sign_normalization,
-    sylvester_block,
 )

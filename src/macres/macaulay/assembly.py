@@ -28,6 +28,7 @@ from ..corering import (
     ParamPoly,
     ParamRing,
     scalar_is_zero,
+    scalar_one,
     scalar_zero,
 )
 from ..linalg import LabeledMatrix, bareiss_det, permutation_sign, submatrix
@@ -67,19 +68,6 @@ def assembly_labels(ds, t, mult_cols=None, dual_rows=None):
                      for g in stj_basis(ds, t, j)]
     cols += [("mult", j, tuple(g)) for j, g in mult_cols]
     return rows, cols
-
-
-def sylvester_block(sys, t):
-    """The multiplication matrix D_t alone: degree-t monomial rows
-    against the standard multiplier columns."""
-    ds = sys.ds
-    n = ds.n
-    rows = [("mono", e) for e in monomial_basis(n, t)]
-    cols = [("mult", j, g) for j in range(1, n + 1) for g in stj_basis(ds, t, j)]
-    grid = [[_coeff_of_shifted(sys.polys[j - 1], e, g) for (_, j, g) in cols]
-            for (_, e) in rows]
-    return LabeledMatrix(rows, cols, grid, sys.domain,
-                         blocks={"sylvester": ((0, len(rows)), (0, len(cols)))})
 
 
 class MacaulayAssembly:
@@ -292,8 +280,12 @@ def _quotient_at(asm):
         quotient = q
     sigma = sign_normalization(asm.system.ds, asm.t)
     value = quotient if sigma > 0 else -quotient
-    det_e = bareiss_det(asm.e_matrix())
-    det_e_dual = bareiss_det(asm.e_dual_matrix())
+    if asm.t > critical_degree(asm.system.ds):
+        # the dual side is empty, so the extraneous matrix is E itself
+        det_e, det_e_dual = det_ebb, scalar_one(asm.matrix.domain)
+    else:
+        det_e = bareiss_det(asm.e_matrix())
+        det_e_dual = bareiss_det(asm.e_dual_matrix())
     return ResultantValue(value, asm.t, sigma, det_m, det_ebb, det_e, det_e_dual)
 
 

@@ -8,7 +8,7 @@ the generalized characteristic polynomial.
 
 from fractions import Fraction
 
-from ..bezoutian import _poly_bareiss_det, jacobian
+from ..bezoutian import jacobian
 from ..combinat import critical_degree, monomial_basis
 from ..corering import (
     InexactDivisionError,
@@ -19,7 +19,7 @@ from ..corering import (
     scalar_is_zero,
     scalar_zero,
 )
-from ..linalg import LabeledMatrix, bareiss_det, berkowitz_charpoly
+from ..linalg import LabeledMatrix, bareiss_det, berkowitz_charpoly, minor_det
 from .assembly import (
     DegenerateSystemError,
     ResultantValue,
@@ -133,7 +133,7 @@ def dixon_matrix(sys):
     t = 2 * d - 2
     cascade = [_cascade_rows(f, sys.domain) for f in sys.polys]
     grid = [[cascade[j][r] for j in range(3)] for r in range(3)]
-    bez = _poly_bareiss_det(grid, 4, sys.domain)
+    bez = minor_det(grid, MPoly.one(4, sys.domain))
     by_y = {}
     for e, c in bez.terms.items():
         by_y.setdefault((e[2], e[3]), {})[(e[0], e[1])] = c

@@ -229,12 +229,14 @@ def test_criterion_05_symbolic_sweep_small_degrees():
             "determinant, exact division, t-independent quotient), but "
             "the full sweep over n <= 3, d_i <= 3 is blocked: the cells "
             "%s did not finish one symbolic determinant within 3s each "
-            "here, and in a dedicated run (2,2,2) alone exceeded 9.5 "
-            "minutes without completing its first degree.  Their exact "
-            "resultants have tens of thousands of terms (21894 for "
-            "three ternary quadrics) and fraction-free elimination "
-            "builds far larger intermediate polynomials, so no test "
-            "budget covers them; reported as a measured blocker."
+            "here.  With division-free minor expansion, (2,2,2) and "
+            "(1,3,3) finish their minimal degree in under 0.5s (21894 "
+            "and 25312 terms), but (2,2,3) spends about 18-21s on one "
+            "8x8 determinant whose value has 888121 terms, and (2,3,3) "
+            "and (3,3,3) (11x11 and 13x13 at their minimal degree) did "
+            "not finish within 40s in a dedicated run.  The size of "
+            "these exact resultants, not the elimination, is what no "
+            "test budget covers; reported as a measured blocker."
             % (blocked,))
 
 

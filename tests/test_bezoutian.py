@@ -108,6 +108,28 @@ def test_frozen_slices_for_the_one_one_two_system():
         assert slices[g] == MPoly(3, ring, {(0, 0, 0): poly})
 
 
+def test_frozen_bezoutian_of_an_integer_one_two_two_system():
+    s = system_from_terms((1, 2, 2), [
+        {(1, 0, 0): 2, (0, 1, 0): -1, (0, 0, 1): 3},
+        {(2, 0, 0): 1, (1, 1, 0): -2, (0, 2, 0): 4, (0, 1, 1): 1,
+         (0, 0, 2): -3},
+        {(2, 0, 0): -1, (1, 0, 1): 5, (0, 2, 0): 2, (0, 1, 1): -2,
+         (0, 0, 2): 1},
+    ])
+    assert bezoutian(s).poly.terms == {
+        (0, 0, 0, 0, 1, 1): 20, (0, 0, 0, 0, 2, 0): -20,
+        (0, 0, 0, 1, 0, 1): -6, (0, 0, 0, 1, 1, 0): 65,
+        (0, 0, 0, 2, 0, 0): -21, (0, 0, 1, 0, 0, 1): 5,
+        (0, 0, 1, 0, 1, 0): -45, (0, 0, 1, 1, 0, 0): 31,
+        (0, 0, 2, 0, 0, 0): -10, (0, 1, 0, 0, 0, 1): 18,
+        (0, 1, 0, 0, 1, 0): -28, (0, 1, 0, 1, 0, 0): 48,
+        (0, 1, 1, 0, 0, 0): -30, (0, 2, 0, 0, 0, 0): -12,
+        (1, 0, 0, 0, 0, 1): -2, (1, 0, 0, 0, 1, 0): 17,
+        (1, 0, 0, 1, 0, 0): -1, (1, 0, 1, 0, 0, 0): -5,
+        (1, 1, 0, 0, 0, 0): 18,
+    }
+
+
 def test_slices_reassemble_the_bezoutian():
     rng = random.Random(23)
     for degrees in [(1, 2), (1, 1, 2), (2, 2, 2)]:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from macres.corering import (
@@ -58,6 +58,25 @@ def test_exact_division_inverts_multiplication(p, q):
     if q.is_zero():
         return
     assert (p * q).exact_div(q) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_param_polys(RING), st.integers(-9, 9).filter(bool),
+       st.lists(st.integers(0, 3), min_size=3, max_size=3))
+def test_one_term_division_inverts_multiplication(p, c, exps):
+    # constant and monomial divisors take the term-by-term path
+    q = RING.const(c) * prod_gens(RING, exps)
+    assert (p * q).exact_div(q) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_param_polys(RING), st.integers(-9, 9).filter(bool),
+       st.lists(st.integers(0, 3), min_size=3, max_size=3))
+def test_one_term_division_raises_on_a_remainder(p, c, exps):
+    assume(abs(c) > 1 or any(exps))
+    q = RING.const(c) * prod_gens(RING, exps)
+    with pytest.raises(InexactDivisionError):
+        (p * q + RING.one()).exact_div(q)
 
 
 def test_inexact_division_raises():

@@ -12,6 +12,7 @@ from macres.linalg import (
     bareiss_det,
     berkowitz_charpoly,
     grid_mul,
+    minor_det,
     permutation_sign,
     rank_over_fractions,
     submatrix,
@@ -171,3 +172,47 @@ def test_labeled_matrix_validation():
     assert m.entry(0, 0) == 5
     with pytest.raises(KeyError):
         m.row_index("missing")
+
+
+def test_minor_det_edge_cases():
+    ring = ParamRing(["a", "b"])
+    a, b = ring.gen("a"), ring.gen("b")
+    one = ring.one()
+    assert minor_det([], one) == one
+    # a repeated row, and a row that is a multiple of another
+    assert minor_det([[a, b], [a, b]], one).is_zero()
+    assert minor_det([[a, b, one], [a * b, b * b, b], [one, a, b]],
+                     one).is_zero()
+
+
+def test_minor_det_of_permutation_grids_is_the_sign():
+    ring = ParamRing(["a"])
+    one, zero = ring.one(), ring.zero()
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(n)):
+            grid = [[one if perm[i] == j else zero for j in range(n)]
+                    for i in range(n)]
+            assert minor_det(grid, one) == permutation_sign(perm)
+
+
+def test_minor_det_matches_bareiss_at_integer_points():
+    rng = random.Random(16)
+    ring = ParamRing(["a", "b", "c"])
+    gens = [ring.gen(i) for i in range(3)]
+    for n in range(1, 6):
+        for _ in range(4):
+            grid = []
+            for _ in range(n):
+                row = []
+                for _ in range(n):
+                    p = ring.const(rng.randint(-3, 3))
+                    if rng.random() < 0.6:
+                        g = rng.choice(gens)
+                        p = p + ring.const(rng.randint(-3, 3)) * g
+                    row.append(p)
+                grid.append(row)
+            det = minor_det(grid, ring.one())
+            for _ in range(3):
+                point = [rng.randint(-4, 4) for _ in range(3)]
+                ints = [[p.evaluate(point) for p in row] for row in grid]
+                assert det.evaluate(point) == bareiss_det(square(ints))

@@ -252,6 +252,28 @@ def test_extraneous_minor_splits_into_the_two_sides():
     assert full == left * right or full == -(left * right)
 
 
+def test_side_determinants_above_the_critical_degree():
+    # for t > tcrit the dual side is empty, so E is the whole
+    # extraneous matrix and E_dual is the empty matrix
+    rng = random.Random(37)
+    systems = [random_system(rng, degs)
+               for degs in [(2, 2), (1, 1, 2), (1, 2, 3), (2, 2, 2),
+                            (1, 1, 2, 3)]]
+    systems += [generic_system((1, 1, 2)), generic_system((1, 2))]
+    for s in systems:
+        t = critical_degree(s.ds) + 1
+        if isinstance(s.domain, ParamRing):
+            out = resultant_generic(s, t)
+        else:
+            out = resultant_specialized(s, t)
+        assert out.det_e == out.det_ebb
+        assert out.det_e_dual == 1
+        asm = build_assembly(s, t)
+        assert asm.e_dual_matrix().nrows == 0
+        assert bareiss_det(asm.e_matrix()) == bareiss_det(
+            asm.extraneous_matrix())
+
+
 def test_permutation_fallback_rescues_zero_leading_coefficient():
     # f_1 with no X1 term makes the canonical extraneous minor vanish;
     # reordering the variables must rescue the quotient, including at
