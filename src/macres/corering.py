@@ -565,21 +565,6 @@ def specialize(p, assignment):
     return MPoly(p.nvars, "int", out)
 
 
-def evaluate_poly(p, point):
-    """Evaluate an MPoly at a point whose entries are scalars of the
-    same domain, returning a scalar."""
-    if len(point) != p.nvars:
-        raise ValueError("point has wrong dimension")
-    total = scalar_zero(p.domain)
-    for e, c in p.terms.items():
-        v = c
-        for i, k in enumerate(e):
-            if k:
-                v = v * point[i] ** k
-        total = total + v
-    return total
-
-
 def derivative(p, i):
     """Partial derivative of an MPoly with respect to variable i."""
     out = {}

@@ -10,10 +10,9 @@ pure power system X_1^{d_1}, ..., X_n^{d_n} has resultant +1.
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
-from ..bezoutian import PolySystem, bezoutian
+from ..bezoutian import Bezoutian, PolySystem, bezoutian
 from ..combinat import (
     critical_degree,
     et_rows,
@@ -139,22 +138,34 @@ def build_assembly(sys, t, bez=None, mult_cols=None, dual_rows=None):
         bez = bezoutian(sys)
     rows, cols = assembly_labels(ds, t, mult_cols=mult_cols, dual_rows=dual_rows)
     zero = scalar_zero(sys.domain)
-    bterms = bez.poly.terms if bez is not None else {}
-    grid = []
-    for rl in rows:
-        row = []
-        for cl in cols:
-            if rl[0] == "mono" and cl[0] == "slice":
-                row.append(bterms.get(rl[1] + cl[1], zero))
-            elif rl[0] == "mono" and cl[0] == "mult":
-                row.append(_coeff_of_shifted(sys.polys[cl[1] - 1], rl[1], cl[2]))
-            elif rl[0] == "dual" and cl[0] == "slice":
-                row.append(_coeff_of_shifted(sys.polys[rl[1] - 1], cl[1], rl[2]))
-            else:
-                row.append(zero)
-        grid.append(row)
     nmono = len(monomial_basis(n, t))
     nslice = len(monomial_basis(n, tn - t))
+    grid = [[zero] * len(cols) for _ in rows]
+    if bez is not None:
+        bterms = bez.poly.terms
+        for i in range(nmono):
+            e = rows[i][1]
+            row = grid[i]
+            for j in range(nslice):
+                row[j] = bterms.get(e + cols[j][1], zero)
+    # scatter each shifted polynomial into the block that holds it: the
+    # column (j, g) holds X^g * f_j along the monomial rows, the dual row
+    # (j, g) holds it along the slice columns
+    row_of = {rows[i][1]: i for i in range(nmono)}
+    for j in range(nslice, len(cols)):
+        _, k, g = cols[j]
+        for e, c in sys.polys[k - 1].terms.items():
+            i = row_of.get(tuple(a + b for a, b in zip(e, g)))
+            if i is not None:
+                grid[i][j] = c
+    col_of = {cols[j][1]: j for j in range(nslice)}
+    for i in range(nmono, len(rows)):
+        _, k, g = rows[i]
+        row = grid[i]
+        for e, c in sys.polys[k - 1].terms.items():
+            j = col_of.get(tuple(a + b for a, b in zip(e, g)))
+            if j is not None:
+                row[j] = c
     blocks = {
         "delta": ((0, nmono), (0, nslice)),
         "sylvester": ((0, nmono), (nslice, len(cols))),
@@ -261,6 +272,19 @@ class ResultantValue:
         return "ResultantValue(t=%r, value=%s)" % (self.t, self.value)
 
 
+def _divide_pair(det_m, det_ebb):
+    """det_m / det_ebb, exact in the common domain."""
+    if isinstance(det_m, ParamPoly):
+        return det_m.exact_div(det_ebb)
+    if isinstance(det_m, Fraction) or isinstance(det_ebb, Fraction):
+        return Fraction(det_m) / Fraction(det_ebb)
+    q, r = divmod(det_m, det_ebb)
+    if r:
+        raise AssertionError("extraneous determinant does not divide the "
+                             "full determinant; this indicates a bug")
+    return q
+
+
 def _quotient_at(asm):
     """(value, details) for one assembly, or None when the extraneous
     determinant vanishes."""
@@ -268,16 +292,7 @@ def _quotient_at(asm):
     if scalar_is_zero(det_ebb):
         return None
     det_m = bareiss_det(asm.matrix)
-    if isinstance(det_m, ParamPoly):
-        quotient = det_m.exact_div(det_ebb)
-    elif isinstance(det_m, Fraction) or isinstance(det_ebb, Fraction):
-        quotient = Fraction(det_m) / Fraction(det_ebb)
-    else:
-        q, r = divmod(det_m, det_ebb)
-        if r:
-            raise AssertionError("extraneous determinant does not divide the "
-                                 "full determinant; this indicates a bug")
-        quotient = q
+    quotient = _divide_pair(det_m, det_ebb)
     sigma = sign_normalization(asm.system.ds, asm.t)
     value = quotient if sigma > 0 else -quotient
     if asm.t > critical_degree(asm.system.ds):
@@ -344,10 +359,10 @@ def _candidate_ts(ds, t):
     return list(dict.fromkeys(first + rest))
 
 
-def _ladder(sys, t):
-    """Try candidate degrees in cheapness order; None when every
-    extraneous determinant vanishes."""
-    bez = None
+def _ladder(sys, t, bez=None):
+    """Try candidate degrees in cheapness order.  Returns the first
+    quotient, or None when every extraneous determinant vanishes, along
+    with the Bezoutian used (given, built on first need, or None)."""
     tn = critical_degree(sys.ds)
     for u in _candidate_ts(sys.ds, t):
         if bez is None and u <= tn:
@@ -355,8 +370,8 @@ def _ladder(sys, t):
         asm = build_assembly(sys, u, bez=bez)
         out = _quotient_at(asm)
         if out is not None:
-            return out
-    return None
+            return out, bez
+    return None, bez
 
 
 def _permuted_system(sys, poly_perm, var_perm):
@@ -374,69 +389,50 @@ def _permuted_system(sys, poly_perm, var_perm):
     return PolySystem([ds.degrees[i] for i in poly_perm], polys)
 
 
-def _calibrate_perm_sign(ds, poly_perm, var_perm, rng):
-    """The constant sign relating the resultant of a permuted system to
-    the original, found by evaluating both routes at a random integer
-    system where both succeed."""
-    n = ds.n
-    for _ in range(64):
-        polys = []
-        for d in ds.degrees:
-            terms = {e: rng.randint(-5, 5) for e in monomial_basis(n, d)}
-            polys.append(MPoly(n, "int", terms))
-        probe = PolySystem(ds, polys)
-        r1 = _ladder(probe, None)
-        if r1 is None or r1.value == 0:
-            continue
-        r2 = _ladder(_permuted_system(probe, poly_perm, var_perm), None)
-        if r2 is None or r2.value == 0:
-            continue
-        if r1.value == r2.value:
-            return 1
-        if r1.value == -r2.value:
-            return -1
-        raise AssertionError("permutation changed the resultant by more than "
-                             "a sign; this indicates a bug")
-    raise DegenerateSystemError("could not calibrate a permutation sign")
-
-
 def resultant_specialized(sys, t=None):
     """Exact resultant of an integer or rational system.
 
     Strategy: try the cheapest degrees first; when every extraneous
     determinant vanishes, retry under polynomial reorderings and
-    variable relabelings, whose effect on the resultant is a known
-    sign (calibrated exactly on random probes).  When everything
-    fails the specialization is reported degenerate; note that a zero
-    resultant with a nonzero extraneous determinant is a normal output,
-    not a degeneracy.
+    variable relabelings.  Reordering by sigma and relabeling by tau
+    multiply the resultant by (sgn sigma * sgn tau)^(d_1...d_n)
+    (Jouanolou 1991; Cox-Little-O'Shea, Using Algebraic Geometry,
+    ch. 3), and a polynomial reordering multiplies the Bezoutian by
+    sgn sigma, so the canonical one is reused with that sign.  When
+    everything fails the specialization is reported degenerate; note
+    that a zero resultant with a nonzero extraneous determinant is a
+    normal output, not a degeneracy.
     """
     if isinstance(sys.domain, ParamRing):
         raise TypeError("resultant_specialized expects numeric coefficients")
     factor = None
     if sys.domain == "fraction":
         sys, factor = _clear_denominators(sys)
-    out = _ladder(sys, t)
+    out, bez = _ladder(sys, t)
     if out is None:
         ds = sys.ds
         n = ds.n
-        rng = random.Random(90210)
-        identity_v = list(range(n))
-        identity_p = list(range(n))
-        perms = []
-        for pp in itertools.permutations(range(n)):
-            if list(pp) != identity_p:
-                perms.append((list(pp), identity_v))
-        for vp in itertools.permutations(range(n)):
-            if list(vp) != identity_v:
-                perms.append((identity_p, list(vp)))
+        dprod = math.prod(ds.degrees)
+        identity = list(range(n))
+        perms = [(list(pp), identity) for pp in itertools.permutations(range(n))
+                 if list(pp) != identity]
+        perms += [(identity, list(vp)) for vp in itertools.permutations(range(n))
+                  if list(vp) != identity]
+        # a reordering pp permutes the rows of the incremental-quotient
+        # matrix, so its Bezoutian is sgn(pp) times the canonical one
+        signed = {1: bez.poly, -1: -bez.poly} if bez is not None else None
         for pp, vp in perms:
-            out2 = _ladder(_permuted_system(sys, pp, vp), t)
+            psys = _permuted_system(sys, pp, vp)
+            sgn_p = permutation_sign(pp)
+            pbez = None
+            if signed is not None and vp == identity:
+                pbez = Bezoutian(psys, signed[sgn_p])
+            out2, _ = _ladder(psys, t, pbez)
             if out2 is not None:
-                eps = _calibrate_perm_sign(ds, pp, vp, rng)
-                value = out2.value * eps
-                out = ResultantValue(value, out2.t, out2.sigma, out2.det_m,
-                                     out2.det_ebb, out2.det_e, out2.det_e_dual)
+                eps = (sgn_p * permutation_sign(vp)) ** dprod
+                out = ResultantValue(out2.value * eps, out2.t, out2.sigma,
+                                     out2.det_m, out2.det_ebb, out2.det_e,
+                                     out2.det_e_dual)
                 break
     if out is None:
         raise DegenerateSystemError(

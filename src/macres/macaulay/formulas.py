@@ -24,6 +24,7 @@ from .assembly import (
     DegenerateSystemError,
     ResultantValue,
     _coeff_of_shifted,
+    _divide_pair,
     _perm_targets,
     _quotient_at,
     build_assembly,
@@ -40,19 +41,6 @@ def _divide_exact(value, k):
     q, r = divmod(value, k)
     if r:
         raise AssertionError("expected a multiple of %d, got %s" % (k, value))
-    return q
-
-
-def _divide_pair(det_m, det_ebb):
-    """det_m / det_ebb, exact in the common domain."""
-    if isinstance(det_m, ParamPoly):
-        return det_m.exact_div(det_ebb)
-    if isinstance(det_m, Fraction) or isinstance(det_ebb, Fraction):
-        return Fraction(det_m) / Fraction(det_ebb)
-    q, r = divmod(det_m, det_ebb)
-    if r:
-        raise AssertionError("extraneous determinant does not divide the "
-                             "full determinant; this indicates a bug")
     return q
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from macres.bezoutian import (
+    Bezoutian,
     PolySystem,
     bezoutian,
     generic_system,
@@ -20,8 +21,8 @@ from macres.combinat import (
     monomial_basis,
     rho_size,
 )
-from macres.corering import MPoly, ParamRing, specialize
-from macres.linalg import bareiss_det
+from macres.corering import MPoly, ParamRing, scalar_zero, specialize
+from macres.linalg import bareiss_det, permutation_sign
 from macres.macaulay import (
     DegenerateSystemError,
     build_assembly,
@@ -30,6 +31,11 @@ from macres.macaulay import (
     resultant_generic,
     resultant_specialized,
     sign_normalization,
+)
+from macres.macaulay.assembly import (
+    _coeff_of_shifted,
+    _ladder,
+    _permuted_system,
 )
 
 
@@ -87,36 +93,55 @@ def test_block_pattern_one_one_two_three():
         [1, 1, 1, 1, 2, 2, 2, 3]
 
 
+def _assert_entry_rule(m, s, bterms):
+    """Every entry of an assembly equals the cell-by-cell rule: the
+    Bezoutian coefficient in the delta block, a shifted coefficient of
+    f_j in the multiplier and dual blocks, domain zero elsewhere; the
+    type is checked as well, so zeros stay in the system's domain."""
+    zero = scalar_zero(s.domain)
+    for i, rl in enumerate(m.row_labels):
+        for j, cl in enumerate(m.col_labels):
+            if rl[0] == "mono" and cl[0] == "slice":
+                want = bterms.get(rl[1] + cl[1], zero)
+            elif rl[0] == "mono" and cl[0] == "mult":
+                want = _coeff_of_shifted(s.polys[cl[1] - 1], rl[1], cl[2])
+            elif rl[0] == "dual" and cl[0] == "slice":
+                want = _coeff_of_shifted(s.polys[rl[1] - 1], cl[1], rl[2])
+            else:
+                want = zero
+            got = m.entry(i, j)
+            assert got == want and type(got) is type(want), (rl, cl)
+
+
 def test_entries_implement_the_three_populated_blocks():
-    rng = random.Random(31)
-    s = random_system(rng, (1, 1, 2))
-    bz = bezoutian(s)
-    tn = critical_degree(s.ds)
-    for t in (0, 1):
-        m = build_assembly(s, t, bez=bz).matrix
-        for i, rl in enumerate(m.row_labels):
-            for j, cl in enumerate(m.col_labels):
-                v = m.entry(i, j)
-                if rl[0] == "mono" and cl[0] == "slice":
-                    e, d = rl[1], cl[1]
-                    key = e + d
-                    assert v == bz.poly.terms.get(key, 0)
-                elif rl[0] == "mono" and cl[0] == "mult":
-                    e, (jj, g) = rl[1], (cl[1], cl[2])
-                    shifted = tuple(a - b for a, b in zip(e, g))
-                    if min(shifted) < 0:
-                        assert v == 0
-                    else:
-                        assert v == s.polys[jj - 1].terms.get(shifted, 0)
-                elif rl[0] == "dual" and cl[0] == "slice":
-                    (jj, g), d = (rl[1], rl[2]), cl[1]
-                    shifted = tuple(a - b for a, b in zip(d, g))
-                    if min(shifted) < 0:
-                        assert v == 0
-                    else:
-                        assert v == s.polys[jj - 1].terms.get(shifted, 0)
-                else:
-                    assert v == 0
+    # integer, rational and generic systems, square and rectangular
+    systems = [random_system(random.Random(31), (1, 1, 2))]
+    rng = random.Random(38)
+    systems += [random_system(rng, degs)
+                for degs in [(2, 3), (1, 2, 2), (1, 1, 2, 3)]]
+    systems += [PolySystem(degs, [
+        MPoly(len(degs), "fraction",
+              {e: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+               for e in monomial_basis(len(degs), d)})
+        for d in degs]) for degs in [(1, 2), (2, 1, 2)]]
+    systems += [generic_system((1, 2)), generic_system((1, 1, 2))]
+    # a sparse system leaves zeros inside the multiplier and dual blocks
+    systems.append(system_from_terms(
+        (1, 1, 2, 3), [{(0, 1, 0, 0): 3}, {(0, 0, 0, 1): 2},
+                       {(1, 1, 0, 0): 1}, {(0, 0, 3, 0): 1}]))
+    for s in systems:
+        bz = bezoutian(s)
+        tn = critical_degree(s.ds)
+        for t in range(tn + 2):
+            bterms = bz.poly.terms if t <= tn else {}
+            _assert_entry_rule(build_assembly(s, t, bez=bz).matrix, s, bterms)
+            full = full_assembly(s, t, bez=bz)
+            _assert_entry_rule(full, s, bterms)
+            # the rectangular map has every multiplier and dual slot
+            assert full.nrows - len(monomial_basis(s.n, t)) == sum(
+                len(monomial_basis(s.n, tn - t - d)) for d in s.ds.degrees)
+            assert full.ncols - len(monomial_basis(s.n, tn - t)) == sum(
+                len(monomial_basis(s.n, t - d)) for d in s.ds.degrees)
 
 
 def test_sign_normalization_frozen_values():
@@ -287,6 +312,131 @@ def test_permutation_fallback_rescues_zero_leading_coefficient():
     pinned = resultant_specialized(s, 4)
     assert direct.value == pinned.value
     assert resultant_specialized(s, 2).value == direct.value
+
+
+# the last four have an odd degree product, where odd permutations
+# flip the sign of the resultant
+SIGN_SYSTEM_DEGREES = [(2, 3), (3, 2), (1, 2, 2), (2, 1, 2), (1, 1, 2, 3),
+                       (1, 3), (1, 1, 3), (1, 3, 3), (1, 1, 1, 1)]
+
+
+def dense_system(rng, degrees):
+    """Every coefficient nonzero, so no reordering or relabeling loses
+    a leading coefficient."""
+    n = len(degrees)
+    return PolySystem(degrees, [
+        MPoly(n, "int", {e: rng.choice((-1, 1)) * rng.randint(1, 9)
+                         for e in monomial_basis(n, d)})
+        for d in degrees])
+
+
+def test_closed_form_permutation_sign():
+    # Res(f_sigma o tau) = (sgn sigma * sgn tau)^(d_1...d_n) Res(f) for
+    # every polynomial reordering sigma and variable relabeling tau.
+    # Each tau-relabeled system gets its own Bezoutian; the reorderings
+    # of it reuse that one with sign sgn sigma, as the fallback does
+    rng = random.Random(39)
+    for degs in SIGN_SYSTEM_DEGREES:
+        s = dense_system(rng, degs)
+        n = len(degs)
+        dprod = 1
+        for d in degs:
+            dprod *= d
+        want = resultant_specialized(s).value
+        assert want != 0
+        for vp in itertools.permutations(range(n)):
+            identity = list(range(n))
+            relabeled = _permuted_system(s, identity, list(vp))
+            bz = bezoutian(relabeled)
+            for pp in itertools.permutations(range(n)):
+                eps = (permutation_sign(pp) * permutation_sign(vp)) ** dprod
+                p = _permuted_system(s, list(pp), list(vp))
+                pbez = Bezoutian(p, bz.poly.scale(permutation_sign(pp)))
+                out, _ = _ladder(p, None, pbez)
+                assert out.value * eps == want, (degs, pp, vp)
+            # and once more without any reuse, through resultant_specialized
+            p = _permuted_system(s, identity[::-1], list(vp))
+            eps = (permutation_sign(identity[::-1])
+                   * permutation_sign(vp)) ** dprod
+            assert resultant_specialized(p).value * eps == want
+
+
+def test_polynomial_reordering_flips_the_bezoutian_by_its_sign():
+    rng = random.Random(40)
+    for degs in SIGN_SYSTEM_DEGREES:
+        s = dense_system(rng, degs)
+        n = len(degs)
+        terms = bezoutian(s).poly.terms
+        for pp in itertools.permutations(range(n)):
+            sgn = permutation_sign(pp)
+            p = _permuted_system(s, list(pp), list(range(n)))
+            assert bezoutian(p).poly.terms == {e: sgn * c
+                                               for e, c in terms.items()}
+
+
+# (value, t, sigma, det_m, det_ebb, det_e, det_e_dual) of fallback
+# systems, taken from the code that calibrated the permutation sign on
+# random probe systems and rebuilt every Bezoutian.  Every one of them
+# is rescued by swapping f_1 and f_2; the degree products of the last
+# two systems are odd, so the swap flips the sign of the resultant.
+FROZEN_FALLBACK = [
+    ("zero leading coefficient", None,
+     (1368016, 1, -1, -1368016, 1, 1, 1)),
+    ("zero leading coefficient", 2,
+     (1368016, 2, -1, -1368016, 1, 1, 1)),
+    ("zero leading coefficient", 4,
+     (1368016, 4, 1, 110809296, 81, 81, 1)),
+    ("sparse split (1,1,2,3)", None,
+     (5030989318992, 1, -1, -5030989318992, 1, 1, 1)),
+    ("odd (1,1,3)", 0, (610, 0, -1, 610, 1, 1, 1)),
+    ("odd (1,1,3)", 3, (610, 3, 1, -610, 1, 1, 1)),
+    ("odd (1,3,3)", 0, (91125, 0, -1, 182250, 2, 1, 2)),
+    ("odd (1,3,3)", 5, (91125, 5, 1, -729000, 8, 8, 1)),
+]
+
+
+def _fallback_systems():
+    f1 = {(0, 1, 0, 0): 3, (0, 0, 1, 0): 1}
+    f2 = {(1, 0, 0, 0): 1, (0, 0, 0, 1): 2}
+    f3 = {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 1, 1): 5}
+    f4 = {(3, 0, 0, 0): 2, (0, 0, 3, 0): 1, (1, 1, 1, 0): 1}
+    # a product of linear forms with the supports of the sparse
+    # benchmark cell: f_1 omits X1, so no canonical minor survives
+    g1 = {(0, 1, 0, 0): 2, (0, 0, 1, 0): -3, (0, 0, 0, 1): 5}
+    g2 = {(1, 0, 0, 0): 1, (0, 0, 1, 0): 4, (0, 0, 0, 1): -2}
+    g3 = {(0, 0, 0, 2): 5, (0, 0, 1, 1): -5, (0, 1, 0, 1): -22,
+          (0, 1, 1, 0): 7, (0, 2, 0, 0): 21, (1, 0, 0, 1): -2,
+          (1, 0, 1, 0): 2, (1, 1, 0, 0): 6}
+    g4 = {(0, 0, 1, 2): -12, (0, 0, 2, 1): 13, (0, 0, 3, 0): -3,
+          (0, 1, 0, 2): 60, (0, 1, 1, 1): -65, (0, 1, 2, 0): 15,
+          (1, 0, 0, 2): 24, (1, 0, 1, 1): 1, (1, 0, 2, 0): -13,
+          (1, 1, 0, 1): -135, (1, 1, 1, 0): 95, (2, 0, 0, 1): -54,
+          (2, 0, 1, 0): 32, (2, 1, 0, 0): 30, (3, 0, 0, 0): 12}
+    return {
+        "zero leading coefficient":
+            system_from_terms((1, 1, 2, 3), [f1, f2, f3, f4]),
+        "sparse split (1,1,2,3)":
+            system_from_terms((1, 1, 2, 3), [g1, g2, g3, g4]),
+        "odd (1,1,3)": system_from_terms((1, 1, 3), [
+            {(0, 1, 0): 2, (0, 0, 1): -3}, {(1, 0, 0): 1, (0, 0, 1): 4},
+            {(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): -1, (1, 1, 1): 3}]),
+        "odd (1,3,3)": system_from_terms((1, 3, 3), [
+            {(0, 1, 0): 2, (0, 0, 1): -3},
+            {(3, 0, 0): 1, (0, 0, 3): 4, (1, 2, 0): 1},
+            {(3, 0, 0): 2, (0, 3, 0): 1, (0, 0, 3): -1, (1, 1, 1): 3}]),
+    }
+
+
+def test_fallback_provenance_is_frozen():
+    systems = _fallback_systems()
+    for name, t, want in FROZEN_FALLBACK:
+        s = systems[name]
+        assert _ladder(s, t)[0] is None
+        out = resultant_specialized(s, t)
+        got = (out.value, out.t, out.sigma, out.det_m, out.det_ebb,
+               out.det_e, out.det_e_dual)
+        assert got == want, name
+        assert all(type(x) is int for x in got)
 
 
 def test_degenerate_specialization_raises():
