@@ -28,10 +28,6 @@ class DegreeSystem:
         self.n = len(degrees)
 
     @property
-    def tcrit(self):
-        return critical_degree(self)
-
-    @property
     def mean_degree(self):
         return Fraction(sum(self.degrees), self.n)
 

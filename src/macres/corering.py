@@ -270,11 +270,6 @@ class ParamPoly:
             total += v
         return total
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(self.ring.unpack(k)) for k in self.terms)
-
     def term_count(self):
         return len(self.terms)
 
@@ -409,12 +404,6 @@ class MPoly:
     @staticmethod
     def one(nvars, domain):
         return MPoly.constant(nvars, domain, scalar_one(domain))
-
-    @staticmethod
-    def variable(nvars, domain, i):
-        e = [0] * nvars
-        e[i] = 1
-        return MPoly(nvars, domain, {tuple(e): scalar_one(domain)})
 
     # -- predicates --------------------------------------------------------
 

@@ -166,6 +166,58 @@ def minor_det(grid, one):
     return minors[(1 << n) - 1]
 
 
+def _fraction_free(grid, domain):
+    """Fraction-free Gaussian elimination of a grid in place (Bareiss,
+    Math. Comp. 22, 1968), with full pivoting on the entry of fewest
+    terms.  Every division is exact in an integral domain.
+
+    Returns (rank, sign, last_pivot): the rank over the fraction field,
+    the sign of the row and column swaps made, and the last nonzero
+    pivot, which for a square grid of full rank is sign times its
+    determinant.
+    """
+    nr = len(grid)
+    nc = len(grid[0]) if grid else 0
+    zero = scalar_zero(domain)
+    sign = 1
+    prev = scalar_one(domain)
+    k = 0
+    while k < nr and k < nc:
+        best = None
+        for i in range(k, nr):
+            row = grid[i]
+            for j in range(k, nc):
+                c = row[j]
+                if scalar_is_zero(c):
+                    continue
+                w = _pivot_weight(c)
+                if best is None or w < best[0]:
+                    best = (w, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != k:
+            grid[k], grid[pi] = grid[pi], grid[k]
+            sign = -sign
+        if pj != k:
+            for row in grid:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
+        top = grid[k]
+        piv = top[k]
+        for i in range(k + 1, nr):
+            row = grid[i]
+            aik = row[k]
+            for j in range(k + 1, nc):
+                row[j] = scalar_exact_div(row[j] * piv - aik * top[j], prev)
+            row[k] = zero
+        prev = piv
+        k += 1
+    return k, sign, prev
+
+
 def bareiss_det(m):
     """Exact determinant of a square LabeledMatrix; the empty matrix
     has determinant 1.
@@ -178,44 +230,9 @@ def bareiss_det(m):
         raise ValueError("determinant of a non-square matrix")
     if isinstance(m.domain, ParamRing):
         return minor_det(m.entries, m.domain.one())
-    n = m.nrows
-    if n == 0:
-        return scalar_one(m.domain)
-    a = m.copy_grid()
-    sign = 1
-    prev = scalar_one(m.domain)
-    for k in range(n - 1):
-        # full pivot search, fewest-terms entry wins
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                c = a[i][j]
-                if scalar_is_zero(c):
-                    continue
-                w = _pivot_weight(c)
-                if best is None or w < best[0]:
-                    best = (w, i, j)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            return scalar_zero(m.domain)
-        _, pi, pj = best
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            sign = -sign
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                num = a[i][j] * piv - aik * a[k][j]
-                a[i][j] = scalar_exact_div(num, prev)
-            a[i][k] = scalar_zero(m.domain)
-        prev = piv
-    d = a[n - 1][n - 1]
+    rank, sign, d = _fraction_free(m.copy_grid(), m.domain)
+    if rank < m.nrows:
+        return scalar_zero(m.domain)
     return -d if sign < 0 else d
 
 
@@ -269,44 +286,7 @@ def sum_scalar(zero, items):
 def rank_over_fractions(m):
     """Rank over the fraction field of the entry domain, computed by
     fraction-free elimination (no actual fractions are formed)."""
-    a = m.copy_grid()
-    nr, nc = m.nrows, m.ncols
-    prev = scalar_one(m.domain)
-    rank = 0
-    r = 0
-    cstart = 0
-    while r < nr and cstart < nc:
-        best = None
-        for i in range(r, nr):
-            for j in range(cstart, nc):
-                cval = a[i][j]
-                if scalar_is_zero(cval):
-                    continue
-                w = _pivot_weight(cval)
-                if best is None or w < best[0]:
-                    best = (w, i, j)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != r:
-            a[r], a[pi] = a[pi], a[r]
-        if pj != cstart:
-            for row in a:
-                row[cstart], row[pj] = row[pj], row[cstart]
-        piv = a[r][cstart]
-        for i in range(r + 1, nr):
-            aik = a[i][cstart]
-            for j in range(cstart + 1, nc):
-                num = a[i][j] * piv - aik * a[r][j]
-                a[i][j] = scalar_exact_div(num, prev)
-            a[i][cstart] = scalar_zero(m.domain)
-        prev = piv
-        rank += 1
-        r += 1
-        cstart += 1
-    return rank
+    return _fraction_free(m.copy_grid(), m.domain)[0]
 
 
 def grid_mul(a, b, domain):

@@ -24,10 +24,9 @@ from ..combinat import (
 )
 from ..corering import (
     MPoly,
-    ParamPoly,
     ParamRing,
+    scalar_exact_div,
     scalar_is_zero,
-    scalar_one,
     scalar_zero,
 )
 from ..linalg import LabeledMatrix, bareiss_det, permutation_sign, submatrix
@@ -69,6 +68,22 @@ def assembly_labels(ds, t, mult_cols=None, dual_rows=None):
     return rows, cols
 
 
+def _extraneous_labels(ds, t):
+    """Row and column labels of the two sides of the degree-t extraneous
+    submatrix [[B, E], [E_dual, 0]]: (E rows, E columns, E_dual rows,
+    E_dual columns).  E pairs the doubly-divisible monomial rows with
+    the extraneous multiplier columns at degree t, E_dual the dual rows
+    with the slice columns at degree tcrit - t."""
+    tn = critical_degree(ds)
+    e_rows = [("mono", e) for e in et_rows(ds, t)]
+    e_cols = [("mult", j, g) for j in range(1, ds.n + 1)
+              for g in etj_basis(ds, t, j)]
+    dual_rows = [("dual", j, g) for j in range(1, ds.n + 1)
+                 for g in etj_basis(ds, tn - t, j)]
+    dual_cols = [("slice", g) for g in et_rows(ds, tn - t)]
+    return e_rows, e_cols, dual_rows, dual_cols
+
+
 class MacaulayAssembly:
     """The assembled matrix at degree t plus the label bookkeeping for
     its extraneous submatrices."""
@@ -85,41 +100,22 @@ class MacaulayAssembly:
     def size(self):
         return self.matrix.nrows
 
-    def extraneous_labels(self):
-        """Row and column labels of the extraneous submatrix."""
-        ds = self.system.ds
-        t = self.t
-        tn = critical_degree(ds)
-        rows = [("mono", e) for e in et_rows(ds, t)]
-        rows += [("dual", j, g) for j in range(1, ds.n + 1)
-                 for g in etj_basis(ds, tn - t, j)]
-        cols = [("slice", g) for g in et_rows(ds, tn - t)]
-        cols += [("mult", j, g) for j in range(1, ds.n + 1)
-                 for g in etj_basis(ds, t, j)]
-        return rows, cols
-
     def extraneous_matrix(self):
-        rows, cols = self.extraneous_labels()
-        return submatrix(self.matrix, rows, cols)
+        e_rows, e_cols, dual_rows, dual_cols = _extraneous_labels(
+            self.system.ds, self.t)
+        return submatrix(self.matrix, e_rows + dual_rows, dual_cols + e_cols)
 
     def e_matrix(self):
         """The square minor E at degree t: doubly-divisible monomial
         rows against extraneous multiplier columns."""
-        ds = self.system.ds
-        rows = [("mono", e) for e in et_rows(ds, self.t)]
-        cols = [("mult", j, g) for j in range(1, ds.n + 1)
-                for g in etj_basis(ds, self.t, j)]
-        return submatrix(self.matrix, rows, cols)
+        e_rows, e_cols, _, _ = _extraneous_labels(self.system.ds, self.t)
+        return submatrix(self.matrix, e_rows, e_cols)
 
     def e_dual_matrix(self):
         """The transposed copy of E at degree tcrit - t living in the
         dual rows."""
-        ds = self.system.ds
-        tn = critical_degree(ds)
-        rows = [("dual", j, g) for j in range(1, ds.n + 1)
-                for g in etj_basis(ds, tn - self.t, j)]
-        cols = [("slice", g) for g in et_rows(ds, tn - self.t)]
-        return submatrix(self.matrix, rows, cols)
+        _, _, dual_rows, dual_cols = _extraneous_labels(self.system.ds, self.t)
+        return submatrix(self.matrix, dual_rows, dual_cols)
 
 
 def build_assembly(sys, t, bez=None, mult_cols=None, dual_rows=None):
@@ -239,14 +235,8 @@ def sign_normalization(ds, t):
     computed combinatorially without building any matrix."""
     rows, cols = assembly_labels(ds, t)
     sign_m = _perm_sign_for(ds, rows, cols)
-    tn = critical_degree(ds)
-    erows = [("mono", e) for e in et_rows(ds, t)]
-    erows += [("dual", j, g) for j in range(1, ds.n + 1)
-              for g in etj_basis(ds, tn - t, j)]
-    ecols = [("slice", g) for g in et_rows(ds, tn - t)]
-    ecols += [("mult", j, g) for j in range(1, ds.n + 1)
-              for g in etj_basis(ds, t, j)]
-    sign_e = _perm_sign_for(ds, erows, ecols)
+    e_rows, e_cols, dual_rows, dual_cols = _extraneous_labels(ds, t)
+    sign_e = _perm_sign_for(ds, e_rows + dual_rows, dual_cols + e_cols)
     return sign_m * sign_e
 
 
@@ -272,35 +262,30 @@ class ResultantValue:
         return "ResultantValue(t=%r, value=%s)" % (self.t, self.value)
 
 
-def _divide_pair(det_m, det_ebb):
-    """det_m / det_ebb, exact in the common domain."""
-    if isinstance(det_m, ParamPoly):
-        return det_m.exact_div(det_ebb)
-    if isinstance(det_m, Fraction) or isinstance(det_ebb, Fraction):
-        return Fraction(det_m) / Fraction(det_ebb)
-    q, r = divmod(det_m, det_ebb)
-    if r:
-        raise AssertionError("extraneous determinant does not divide the "
-                             "full determinant; this indicates a bug")
-    return q
-
-
 def _quotient_at(asm):
-    """(value, details) for one assembly, or None when the extraneous
-    determinant vanishes."""
-    det_ebb = bareiss_det(asm.extraneous_matrix())
-    if scalar_is_zero(det_ebb):
+    """The ResultantValue of one assembly, or None when the extraneous
+    determinant vanishes.
+
+    The extraneous submatrix is [[B, E], [E_dual, 0]] with E and E_dual
+    square, so its determinant is (-1)^(|E| |E_dual|) det E det E_dual
+    and is taken from the two sides alone; above the critical degree
+    E_dual is empty, with determinant one.
+    """
+    e = asm.e_matrix()
+    det_e = bareiss_det(e)
+    if scalar_is_zero(det_e):
         return None
+    e_dual = asm.e_dual_matrix()
+    det_e_dual = bareiss_det(e_dual)
+    if scalar_is_zero(det_e_dual):
+        return None
+    det_ebb = det_e * det_e_dual
+    if e.nrows * e_dual.nrows % 2:
+        det_ebb = -det_ebb
     det_m = bareiss_det(asm.matrix)
-    quotient = _divide_pair(det_m, det_ebb)
+    quotient = scalar_exact_div(det_m, det_ebb)
     sigma = sign_normalization(asm.system.ds, asm.t)
     value = quotient if sigma > 0 else -quotient
-    if asm.t > critical_degree(asm.system.ds):
-        # the dual side is empty, so the extraneous matrix is E itself
-        det_e, det_e_dual = det_ebb, scalar_one(asm.matrix.domain)
-    else:
-        det_e = bareiss_det(asm.e_matrix())
-        det_e_dual = bareiss_det(asm.e_dual_matrix())
     return ResultantValue(value, asm.t, sigma, det_m, det_ebb, det_e, det_e_dual)
 
 

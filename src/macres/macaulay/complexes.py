@@ -8,8 +8,8 @@ which happens precisely when the resultant does not vanish.
 import itertools
 
 from ..combinat import critical_degree, monomial_basis
-from ..corering import ParamRing, scalar_zero
-from ..linalg import LabeledMatrix, rank_over_fractions
+from ..corering import ParamRing, scalar_is_zero, scalar_zero
+from ..linalg import LabeledMatrix, grid_mul, rank_over_fractions
 from .assembly import _coeff_of_shifted, full_assembly
 
 
@@ -183,12 +183,7 @@ def _assert_zero_composition(first, second):
     """second o first must vanish; anything else is a construction bug."""
     if first.nrows != second.ncols:
         raise AssertionError("differential shapes do not chain")
-    for i in range(second.nrows):
-        for j in range(first.ncols):
-            acc = None
-            for k in range(first.nrows):
-                term = second.entry(i, k) * first.entry(k, j)
-                acc = term if acc is None else acc + term
-            if acc is not None and acc != 0:
-                raise AssertionError("consecutive differentials do not "
-                                     "compose to zero")
+    product = grid_mul(second.entries, first.entries, first.domain)
+    if any(not scalar_is_zero(c) for row in product for c in row):
+        raise AssertionError("consecutive differentials do not "
+                             "compose to zero")

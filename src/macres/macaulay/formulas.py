@@ -6,42 +6,30 @@ over 512, the Jacobian column substitution at the critical degree, and
 the generalized characteristic polynomial.
 """
 
-from fractions import Fraction
+import math
 
 from ..bezoutian import jacobian
 from ..combinat import critical_degree, monomial_basis
 from ..corering import (
     InexactDivisionError,
     MPoly,
-    ParamPoly,
     ParamRing,
     derivative,
-    scalar_is_zero,
+    scalar_exact_div,
+    scalar_from_int,
     scalar_zero,
 )
 from ..linalg import LabeledMatrix, bareiss_det, berkowitz_charpoly, minor_det
 from .assembly import (
     DegenerateSystemError,
+    MacaulayAssembly,
     ResultantValue,
     _coeff_of_shifted,
-    _divide_pair,
     _perm_targets,
     _quotient_at,
     build_assembly,
     sign_normalization,
 )
-
-
-def _divide_exact(value, k):
-    """value / k for a positive integer k, exact in the value's domain."""
-    if isinstance(value, ParamPoly):
-        return value.exact_div(value.ring.const(k))
-    if isinstance(value, Fraction):
-        return value / k
-    q, r = divmod(value, k)
-    if r:
-        raise AssertionError("expected a multiple of %d, got %s" % (k, value))
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +163,7 @@ def ternary_quadric_sylvester(sys):
     forms = list(sys.polys) + [derivative(jac, i) for i in range(3)]
     grid = [[f.coeff(e) for (_, e) in cols] for f in forms]
     det6 = bareiss_det(LabeledMatrix(rows, cols, grid, sys.domain))
-    value = _divide_exact(det6, 512)
+    value = scalar_exact_div(det6, scalar_from_int(sys.domain, 512))
     return ResultantValue(value, None, 1, det6, 512, None, None)
 
 
@@ -206,21 +194,15 @@ def jacobian_variant(sys):
                        blocks=m.blocks)
     # the extraneous blocks at the critical degree live entirely on the
     # multiplier side and never meet the replaced column
-    det_ebb = bareiss_det(asm.extraneous_matrix())
-    if scalar_is_zero(det_ebb):
+    out = _quotient_at(MacaulayAssembly(sys, tn, mt, asm.bez))
+    if out is None:
         raise DegenerateSystemError(
             "extraneous determinant vanished at the critical degree; the "
             "Jacobian substitution cannot certify this specialization")
-    det_m = bareiss_det(mt)
-    quotient = _divide_pair(det_m, det_ebb)
-    sigma = sign_normalization(ds, tn)
-    if sigma < 0:
-        quotient = -quotient
-    dprod = 1
-    for d in ds.degrees:
-        dprod *= d
-    value = _divide_exact(quotient, dprod)
-    return ResultantValue(value, tn, sigma, det_m, det_ebb, None, None)
+    dprod = scalar_from_int(sys.domain, math.prod(ds.degrees))
+    value = scalar_exact_div(out.value, dprod)
+    return ResultantValue(value, tn, out.sigma, out.det_m, out.det_ebb,
+                          None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,23 @@ INT_12 = json.dumps({
 }).encode()
 
 
+# the (1,1,2,3) system of the permutation-fallback test in
+# test_macaulay.py: f_1 has no X1 term, so its canonical extraneous
+# minors vanish and the numeric path has to fall back
+FALLBACK_1123 = json.dumps({
+    "degrees": [1, 1, 2, 3],
+    "mode": "integer",
+    "polys": [
+        [{"c": "3", "e": [0, 1, 0, 0]}, {"c": "1", "e": [0, 0, 1, 0]}],
+        [{"c": "1", "e": [1, 0, 0, 0]}, {"c": "2", "e": [0, 0, 0, 1]}],
+        [{"c": "1", "e": [2, 0, 0, 0]}, {"c": "1", "e": [0, 2, 0, 0]},
+         {"c": "5", "e": [0, 0, 1, 1]}],
+        [{"c": "2", "e": [3, 0, 0, 0]}, {"c": "1", "e": [0, 0, 3, 0]},
+         {"c": "1", "e": [1, 1, 1, 0]}],
+    ],
+}).encode()
+
+
 def run_cli(args, data, tmp_path):
     path = tmp_path / "in.json"
     path.write_bytes(data)
@@ -208,10 +225,11 @@ def test_byte_determinism_over_subprocess():
     env["PYTHONPATH"] = os.pathsep.join(
         [where] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     cmd = [sys.executable, "-m", "macres.cli", "resultant"]
-    runs = [subprocess.run(cmd, input=GENERIC_112, stdout=subprocess.PIPE,
-                           env=env, check=True).stdout for _ in range(2)]
-    assert runs[0] == runs[1]
-    assert runs[0].endswith(b"\n")
+    for data in (GENERIC_112, FALLBACK_1123):
+        runs = [subprocess.run(cmd, input=data, stdout=subprocess.PIPE,
+                               env=env, check=True).stdout for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0].endswith(b"\n")
 
 
 def test_verify_subcommand(capsys):

@@ -148,6 +148,37 @@ def test_rank_on_matrices_of_known_rank():
                                                        for _ in range(m)]
         mat = LabeledMatrix(list(range(m)), list(range(n)), grid, "int")
         assert rank_over_fractions(mat) == r
+    # square cases reach both exits of the shared elimination: the
+    # determinant is zero exactly when the rank is short
+    cases = []
+    for n, r in [(1, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 2), (4, 4),
+                 (5, 4)]:
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        for i in range(r):
+            left[i][i] = right[i][i] = 5
+        grid = grid_mul(left, right, "int") if r else [[0] * n
+                                                       for _ in range(n)]
+        cases.append((grid, r))
+    # unit pivots on the diagonal keep every earlier step full, so the
+    # dependency of the last row shows only at the last pivot
+    cases.append(([[1, 1, 1], [1, 2, 3], [2, 3, 4]], 2))
+    # the unit at (1, 1) wins the first pivot search: a row and a
+    # column swap
+    cases.append(([[0, 2, 3], [5, 1, 7], [4, 6, 8]], 3))
+    for grid, r in cases:
+        n = len(grid)
+        # scaling rows and columns keeps the rank
+        fgrid = [[Fraction(c, (1 + i % 3) * (1 + j % 2))
+                  for j, c in enumerate(row)] for i, row in enumerate(grid)]
+        for g, domain, zero, one in [(grid, "int", 0, 1),
+                                     (fgrid, "fraction", Fraction(0),
+                                      Fraction(1))]:
+            mat = square(g, domain)
+            assert rank_over_fractions(mat) == r
+            d = bareiss_det(mat)
+            assert (d == 0) == (r < n)
+            assert d == cofactor_det(g, zero, one)
 
 
 def test_submatrix_keeps_parent_order():

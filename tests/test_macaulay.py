@@ -36,6 +36,7 @@ from macres.macaulay.assembly import (
     _coeff_of_shifted,
     _ladder,
     _permuted_system,
+    _quotient_at,
 )
 
 
@@ -274,7 +275,35 @@ def test_extraneous_minor_splits_into_the_two_sides():
     full = bareiss_det(asm.extraneous_matrix())
     left = bareiss_det(asm.e_matrix())
     right = bareiss_det(asm.e_dual_matrix())
-    assert full == left * right or full == -(left * right)
+    assert full == left * right
+    rng = random.Random(41)
+    # (1,1,2,4) and (1,1,3,3) at t = 2 have both sides nonempty and of
+    # odd size, the only cells here where the sign of the split shows
+    systems = [random_system(rng, degs)
+               for degs in [(2, 2), (1, 1, 2), (2, 2, 2), (1, 2, 3),
+                            (1, 1, 2, 3), (1, 1, 2, 4), (1, 1, 3, 3)]]
+    systems += [generic_system((1, 1, 2)), generic_system((1, 2, 2))]
+    odd_sign = 0
+    for s in systems:
+        for t in range(critical_degree(s.ds) + 2):
+            # the extraneous matrix is [[B, E], [E_dual, 0]]: moving the
+            # E columns past the E_dual ones gives
+            # det = (-1)^(|E| |E_dual|) det E det E_dual
+            asm = build_assembly(s, t)
+            e, e_dual = asm.e_matrix(), asm.e_dual_matrix()
+            assert e.is_square() and e_dual.is_square()
+            split = bareiss_det(e) * bareiss_det(e_dual)
+            if e.nrows * e_dual.nrows % 2:
+                split = -split
+                odd_sign += 1
+            full = bareiss_det(asm.extraneous_matrix())
+            assert full == split
+            out = _quotient_at(asm)
+            if full == 0:
+                assert out is None
+            else:
+                assert out.det_ebb == full
+    assert odd_sign == 2
 
 
 def test_side_determinants_above_the_critical_degree():
