@@ -54,7 +54,9 @@ class ParamRing:
     Exponent vectors are packed into a single int, 8 bits per parameter,
     parameter 0 in the lowest bits.  Packed keys add under monomial
     multiplication, and plain integer comparison of keys is a valid
-    monomial order, which the exact-division routine relies on.
+    monomial order, which the exact-division routine relies on.  A
+    product whose exponent would pass _FIELD_MAX raises OverflowError
+    instead of carrying into the next field.
     """
 
     def __init__(self, names):
@@ -64,6 +66,10 @@ class ParamRing:
         self.names = names
         self.nparams = len(names)
         self.index = {s: i for i, s in enumerate(names)}
+        # the lowest bit of every field above the first, and the bit
+        # past the last one: a carry out of some field lands on one
+        self.carry_bits = sum(1 << (_FIELD_BITS * i)
+                              for i in range(1, self.nparams + 1))
 
     def pack(self, exps):
         if len(exps) != self.nparams:
@@ -173,6 +179,7 @@ class ParamPoly:
         if isinstance(other, int):
             return ParamPoly(self.ring, {k: c * other for k, c in self.terms.items()})
         self._check(other)
+        self._check_no_carry(other)
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -183,6 +190,24 @@ class ParamPoly:
                 else:
                     out.pop(k, None)
         return ParamPoly(self.ring, out)
+
+    def _check_no_carry(self, other):
+        """Raise OverflowError if a product of keys carries out of a
+        field.  The ORs of the keys bound every exponent, so pairs are
+        checked only when the ORs themselves carry."""
+        carry_bits = self.ring.carry_bits
+        a = b = 0
+        for k in self.terms:
+            a |= k
+        for k in other.terms:
+            b |= k
+        if not (a ^ b ^ (a + b)) & carry_bits:
+            return
+        for k1 in self.terms:
+            for k2 in other.terms:
+                if (k1 ^ k2 ^ (k1 + k2)) & carry_bits:
+                    raise OverflowError("parameter exponent above %d"
+                                        % _FIELD_MAX)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -198,8 +223,9 @@ class ParamPoly:
         while k:
             if k & 1:
                 r = r * b
-            b = b * b
             k >>= 1
+            if k:
+                b = b * b
         return r
 
     def _leading(self):

@@ -85,8 +85,8 @@ def _extraneous_labels(ds, t):
 
 
 class MacaulayAssembly:
-    """The assembled matrix at degree t plus the label bookkeeping for
-    its extraneous submatrices."""
+    """The assembled matrix at degree t, its system and the Bezoutian
+    it was built from."""
 
     __slots__ = ("system", "t", "matrix", "bez")
 
@@ -105,17 +105,21 @@ class MacaulayAssembly:
             self.system.ds, self.t)
         return submatrix(self.matrix, e_rows + dual_rows, dual_cols + e_cols)
 
-    def e_matrix(self):
-        """The square minor E at degree t: doubly-divisible monomial
-        rows against extraneous multiplier columns."""
-        e_rows, e_cols, _, _ = _extraneous_labels(self.system.ds, self.t)
-        return submatrix(self.matrix, e_rows, e_cols)
 
-    def e_dual_matrix(self):
-        """The transposed copy of E at degree tcrit - t living in the
-        dual rows."""
-        _, _, dual_rows, dual_cols = _extraneous_labels(self.system.ds, self.t)
-        return submatrix(self.matrix, dual_rows, dual_cols)
+def side_matrix(sys, u):
+    """The side E(u) of the extraneous minors, read from the polynomials:
+    doubly-divisible degree-u monomial rows against the extraneous
+    multiplier columns (j, g), each entry the coefficient of the row
+    monomial in X^g * f_j; empty for u < 0.  The dual rows of the
+    degree-t extraneous submatrix hold the same entries transposed, so
+    its E_dual is E(tcrit - t)^T."""
+    ds = sys.ds
+    rows = [("mono", e) for e in et_rows(ds, u)]
+    cols = [("mult", j, g) for j in range(1, ds.n + 1)
+            for g in etj_basis(ds, u, j)]
+    grid = [[_coeff_of_shifted(sys.polys[j - 1], e, g) for _, j, g in cols]
+            for _, e in rows]
+    return LabeledMatrix(rows, cols, grid, sys.domain)
 
 
 def build_assembly(sys, t, bez=None, mult_cols=None, dual_rows=None):
@@ -262,26 +266,35 @@ class ResultantValue:
         return "ResultantValue(t=%r, value=%s)" % (self.t, self.value)
 
 
-def _quotient_at(asm):
-    """The ResultantValue of one assembly, or None when the extraneous
-    determinant vanishes.
+def _extraneous_factor(sys, t, memo):
+    """(det E(t), det E(tcrit - t), det_ebb) of the degree-t extraneous
+    submatrix, or None as soon as one side is singular.
 
-    The extraneous submatrix is [[B, E], [E_dual, 0]] with E and E_dual
-    square, so its determinant is (-1)^(|E| |E_dual|) det E det E_dual
-    and is taken from the two sides alone; above the critical degree
-    E_dual is empty, with determinant one.
+    The submatrix is [[B, E(t)], [E(tcrit - t)^T, 0]] with both sides
+    square, so det_ebb = (-1)^(|E(t)| |E(tcrit - t)|) det E(t)
+    det E(tcrit - t).  memo maps u to (size, det E(u)) for one system,
+    so the degrees t and tcrit - t share their pair of sides.
     """
-    e = asm.e_matrix()
-    det_e = bareiss_det(e)
-    if scalar_is_zero(det_e):
-        return None
-    e_dual = asm.e_dual_matrix()
-    det_e_dual = bareiss_det(e_dual)
-    if scalar_is_zero(det_e_dual):
-        return None
+    sides = []
+    for u in (t, critical_degree(sys.ds) - t):
+        if u not in memo:
+            e = side_matrix(sys, u)
+            memo[u] = (e.nrows, bareiss_det(e))
+        if scalar_is_zero(memo[u][1]):
+            return None
+        sides.append(memo[u])
+    (size_e, det_e), (size_d, det_e_dual) = sides
     det_ebb = det_e * det_e_dual
-    if e.nrows * e_dual.nrows % 2:
+    if size_e * size_d % 2:
         det_ebb = -det_ebb
+    return det_e, det_e_dual, det_ebb
+
+
+def _quotient_at(asm, sides):
+    """The ResultantValue of one assembly, given its nonsingular
+    extraneous factor from _extraneous_factor; the assembly itself only
+    gives det(M)."""
+    det_e, det_e_dual, det_ebb = sides
     det_m = bareiss_det(asm.matrix)
     quotient = scalar_exact_div(det_m, det_ebb)
     sigma = sign_normalization(asm.system.ds, asm.t)
@@ -306,12 +319,11 @@ def resultant_generic(sys, t=None, max_symbolic_size=16):
         raise ValueError(
             "symbolic matrix size %d exceeds the gate %d; raise "
             "max_symbolic_size to force the computation" % (size, max_symbolic_size))
-    asm = build_assembly(sys, t)
-    out = _quotient_at(asm)
-    if out is None:
+    sides = _extraneous_factor(sys, t, {})
+    if sides is None:
         raise DegenerateSystemError(
             "extraneous determinant vanished symbolically at t=%d" % t)
-    return out
+    return _quotient_at(build_assembly(sys, t), sides)
 
 
 def _clear_denominators(sys):
@@ -337,26 +349,13 @@ def _clear_denominators(sys):
 def _candidate_ts(ds, t):
     tn = critical_degree(ds)
     if t is not None:
+        if t < 0:
+            raise ValueError("t must be nonnegative")
         return [t]
     first = [minimal_t(ds), tn + 1]
     rest = sorted((u for u in range(tn + 2) if u not in first),
                   key=lambda u: rho_size(ds, u))
     return list(dict.fromkeys(first + rest))
-
-
-def _ladder(sys, t, bez=None):
-    """Try candidate degrees in cheapness order.  Returns the first
-    quotient, or None when every extraneous determinant vanishes, along
-    with the Bezoutian used (given, built on first need, or None)."""
-    tn = critical_degree(sys.ds)
-    for u in _candidate_ts(sys.ds, t):
-        if bez is None and u <= tn:
-            bez = bezoutian(sys)
-        asm = build_assembly(sys, u, bez=bez)
-        out = _quotient_at(asm)
-        if out is not None:
-            return out, bez
-    return None, bez
 
 
 def _permuted_system(sys, poly_perm, var_perm):
@@ -377,56 +376,61 @@ def _permuted_system(sys, poly_perm, var_perm):
 def resultant_specialized(sys, t=None):
     """Exact resultant of an integer or rational system.
 
-    Strategy: try the cheapest degrees first; when every extraneous
-    determinant vanishes, retry under polynomial reorderings and
-    variable relabelings.  Reordering by sigma and relabeling by tau
-    multiply the resultant by (sgn sigma * sgn tau)^(d_1...d_n)
+    Strategy: one loop over the systems to try (the system itself, then
+    every polynomial reordering sigma, then every variable relabeling
+    tau) and, inside it, over the candidate degrees, cheapest first.  A
+    degree whose side E(u) or E(tcrit - u) is singular is skipped before
+    anything is assembled, so only the first degree that survives builds
+    a Bezoutian and an assembly.  Reordering by sigma and relabeling by
+    tau multiply the resultant by (sgn sigma * sgn tau)^(d_1...d_n)
     (Jouanolou 1991; Cox-Little-O'Shea, Using Algebraic Geometry,
     ch. 3), and a polynomial reordering multiplies the Bezoutian by
-    sgn sigma, so the canonical one is reused with that sign.  When
-    everything fails the specialization is reported degenerate; note
-    that a zero resultant with a nonzero extraneous determinant is a
-    normal output, not a degeneracy.
+    sgn sigma, so a reordering takes the canonical Bezoutian with that
+    sign while a relabeling builds its own.  When everything fails the
+    specialization is reported degenerate; note that a zero resultant
+    with a nonzero extraneous determinant is a normal output, not a
+    degeneracy.
     """
     if isinstance(sys.domain, ParamRing):
         raise TypeError("resultant_specialized expects numeric coefficients")
-    factor = None
+    factor = 1
     if sys.domain == "fraction":
         sys, factor = _clear_denominators(sys)
-    out, bez = _ladder(sys, t)
-    if out is None:
-        ds = sys.ds
-        n = ds.n
-        dprod = math.prod(ds.degrees)
-        identity = list(range(n))
-        perms = [(list(pp), identity) for pp in itertools.permutations(range(n))
-                 if list(pp) != identity]
-        perms += [(identity, list(vp)) for vp in itertools.permutations(range(n))
-                  if list(vp) != identity]
-        # a reordering pp permutes the rows of the incremental-quotient
-        # matrix, so its Bezoutian is sgn(pp) times the canonical one
-        signed = {1: bez.poly, -1: -bez.poly} if bez is not None else None
-        for pp, vp in perms:
-            psys = _permuted_system(sys, pp, vp)
-            sgn_p = permutation_sign(pp)
-            pbez = None
-            if signed is not None and vp == identity:
-                pbez = Bezoutian(psys, signed[sgn_p])
-            out2, _ = _ladder(psys, t, pbez)
-            if out2 is not None:
-                eps = (sgn_p * permutation_sign(vp)) ** dprod
-                out = ResultantValue(out2.value * eps, out2.t, out2.sigma,
-                                     out2.det_m, out2.det_ebb, out2.det_e,
-                                     out2.det_e_dual)
-                break
-    if out is None:
-        raise DegenerateSystemError(
-            "every candidate extraneous determinant vanished; the quotient "
-            "formulas cannot certify this specialization")
-    if factor is not None and factor != 1:
-        out = ResultantValue(Fraction(out.value) / factor, out.t, out.sigma,
-                             out.det_m, out.det_ebb, out.det_e, out.det_e_dual)
-    return out
+    ds = sys.ds
+    tn = critical_degree(ds)
+    ts = _candidate_ts(ds, t)
+    dprod = math.prod(ds.degrees)
+    identity = tuple(range(ds.n))
+    others = [p for p in itertools.permutations(identity) if p != identity]
+    perms = ([(identity, identity)] + [(pp, identity) for pp in others]
+             + [(identity, vp) for vp in others])
+    for pp, vp in perms:
+        psys = sys if pp == vp == identity else _permuted_system(sys, pp, vp)
+        sgn_p = permutation_sign(pp)
+        memo = {}
+        for u in ts:
+            sides = _extraneous_factor(psys, u, memo)
+            if sides is None:
+                continue
+            if u > tn:
+                bez = None
+            elif vp != identity:
+                bez = bezoutian(psys)
+            else:
+                bez = bezoutian(sys)
+                if pp != identity:
+                    # a reordering pp permutes the rows of the
+                    # incremental-quotient matrix, so its Bezoutian is
+                    # sgn(pp) times the canonical one
+                    bez = Bezoutian(psys, bez.poly if sgn_p > 0 else -bez.poly)
+            out = _quotient_at(build_assembly(psys, u, bez=bez), sides)
+            out.value *= (sgn_p * permutation_sign(vp)) ** dprod
+            if factor != 1:
+                out.value = Fraction(out.value) / factor
+            return out
+    raise DegenerateSystemError(
+        "every candidate extraneous determinant vanished; the quotient "
+        "formulas cannot certify this specialization")
 
 
 def classical_macaulay(sys, max_symbolic_size=16):

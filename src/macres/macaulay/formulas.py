@@ -25,6 +25,7 @@ from .assembly import (
     MacaulayAssembly,
     ResultantValue,
     _coeff_of_shifted,
+    _extraneous_factor,
     _perm_targets,
     _quotient_at,
     build_assembly,
@@ -53,11 +54,11 @@ def univariate_formulas(sys, t=None):
     if not 0 <= t <= tn + 1:
         raise ValueError("t must lie in [0, %d] for degrees %r"
                          % (tn + 1, sys.ds.degrees))
-    out = _quotient_at(build_assembly(sys, t))
-    if out is None:
+    sides = _extraneous_factor(sys, t, {})
+    if sides is None:
         raise AssertionError("binary systems have empty extraneous blocks, "
                              "their quotients cannot degenerate")
-    return out
+    return _quotient_at(build_assembly(sys, t), sides)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +183,14 @@ def jacobian_variant(sys):
     """
     ds = sys.ds
     tn = critical_degree(ds)
+    # the extraneous sides at the critical degree, E(tcrit) on the
+    # multiplier columns and the empty E(0), never meet the replaced
+    # column, so they are those of the plain assembly
+    sides = _extraneous_factor(sys, tn, {})
+    if sides is None:
+        raise DegenerateSystemError(
+            "extraneous determinant vanished at the critical degree; the "
+            "Jacobian substitution cannot certify this specialization")
     asm = build_assembly(sys, tn)
     jac = jacobian(sys)
     m = asm.matrix
@@ -192,13 +201,7 @@ def jacobian_variant(sys):
         grid[i][j0] = jac.coeff(rl[1])
     mt = LabeledMatrix(m.row_labels, m.col_labels, grid, m.domain,
                        blocks=m.blocks)
-    # the extraneous blocks at the critical degree live entirely on the
-    # multiplier side and never meet the replaced column
-    out = _quotient_at(MacaulayAssembly(sys, tn, mt, asm.bez))
-    if out is None:
-        raise DegenerateSystemError(
-            "extraneous determinant vanished at the critical degree; the "
-            "Jacobian substitution cannot certify this specialization")
+    out = _quotient_at(MacaulayAssembly(sys, tn, mt, asm.bez), sides)
     dprod = scalar_from_int(sys.domain, math.prod(ds.degrees))
     value = scalar_exact_div(out.value, dprod)
     return ResultantValue(value, tn, out.sigma, out.det_m, out.det_ebb,

@@ -40,6 +40,7 @@ from macres.macaulay import (
     resultant_generic,
     resultant_specialized,
 )
+from macres.macaulay.assembly import side_matrix
 from macres.macaulay.complexes import exactness_check
 from macres.macaulay.formulas import (
     dixon_resultant,
@@ -116,7 +117,8 @@ def test_criterion_02_worked_example_one_one_two_three():
         asg = {nm: rng.randint(-5, 5) for nm in s.domain.names}
         inst = s.specialized(asg)
         asm4 = build_assembly(inst, 4)
-        e4 = bareiss_det(asm4.e_matrix()) * bareiss_det(asm4.e_dual_matrix())
+        e4 = (bareiss_det(side_matrix(inst, 4))
+              * bareiss_det(side_matrix(inst, critical_degree(ds) - 4)))
         if e4 == 0:
             continue
         det4 = bareiss_det(asm4.matrix)

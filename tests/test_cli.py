@@ -48,6 +48,22 @@ FALLBACK_1123 = json.dumps({
 }).encode()
 
 
+# the odd-degree (1,3,3) fallback system of test_macaulay.py: its
+# degree product is odd, so the reordering that rescues it flips the
+# sign of the resultant
+ODD_133 = json.dumps({
+    "degrees": [1, 3, 3],
+    "mode": "integer",
+    "polys": [
+        [{"c": "2", "e": [0, 1, 0]}, {"c": "-3", "e": [0, 0, 1]}],
+        [{"c": "1", "e": [3, 0, 0]}, {"c": "4", "e": [0, 0, 3]},
+         {"c": "1", "e": [1, 2, 0]}],
+        [{"c": "2", "e": [3, 0, 0]}, {"c": "1", "e": [0, 3, 0]},
+         {"c": "-1", "e": [0, 0, 3]}, {"c": "3", "e": [1, 1, 1]}],
+    ],
+}).encode()
+
+
 def run_cli(args, data, tmp_path):
     path = tmp_path / "in.json"
     path.write_bytes(data)
@@ -109,6 +125,12 @@ def test_scalar_text_round_trip_symbolic():
     assert parse_scalar_text(str(p), ring) == p
     assert parse_scalar_text("0", ring) == ring.zero()
     assert parse_scalar_text("-a_1_1", ring) == -a
+    # exponents up to 255 round-trip; past that the text is refused
+    # instead of carrying into the next parameter
+    big = a ** 255 * b ** 200
+    assert parse_scalar_text(str(big), ring) == big
+    with pytest.raises(OverflowError):
+        parse_scalar_text("a_1_1^300", ring)
 
 
 def test_scalar_text_round_trip_numeric():
@@ -225,11 +247,15 @@ def test_byte_determinism_over_subprocess():
     env["PYTHONPATH"] = os.pathsep.join(
         [where] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     cmd = [sys.executable, "-m", "macres.cli", "resultant"]
-    for data in (GENERIC_112, FALLBACK_1123):
-        runs = [subprocess.run(cmd, input=data, stdout=subprocess.PIPE,
+    for data, args in [(GENERIC_112, []), (FALLBACK_1123, []),
+                       (ODD_133, ["--t", "0"]), (ODD_133, ["--t", "5"])]:
+        runs = [subprocess.run(cmd + args, input=data, stdout=subprocess.PIPE,
                                env=env, check=True).stdout for _ in range(2)]
         assert runs[0] == runs[1]
         assert runs[0].endswith(b"\n")
+        if data is ODD_133:
+            # the value frozen in test_fallback_provenance_is_frozen
+            assert json.loads(runs[0])["result"]["value"] == "91125"
 
 
 def test_verify_subcommand(capsys):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from macres.corering import (
@@ -50,6 +50,47 @@ def test_param_arithmetic_matches_integer_evaluation(p, q, point):
     assert (p - q).evaluate(point) == pe - qe
     assert (p * q).evaluate(point) == pe * qe
     assert (-p).evaluate(point) == -pe
+
+
+def high_param_polys(ring):
+    # exponents on both sides of half the field, so products land below,
+    # at and past the largest packed exponent 255
+    exponent = st.one_of(st.integers(0, 2), st.integers(120, 136),
+                         st.integers(250, 255))
+    term = st.tuples(
+        st.lists(exponent, min_size=ring.nparams, max_size=ring.nparams),
+        st.integers(-9, 9))
+    return st.lists(term, max_size=3).map(
+        lambda pairs: sum(
+            (ring.const(c) * prod_gens(ring, e) for e, c in pairs),
+            ring.zero()))
+
+
+def top_exponents(p):
+    return [max(RING.unpack(k)[i] for k in p.terms)
+            for i in range(RING.nparams)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(high_param_polys(RING), high_param_polys(RING),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+@example(RING.gen(0) ** 200, RING.gen(0) ** 55, [2, 1, 1])
+@example(RING.gen(0) ** 128 + RING.gen(1), RING.gen(0) ** 128 - RING.gen(1),
+         [2, 1, 1])
+def test_products_near_the_exponent_limit(p, q, point):
+    # a product is exact while every exponent stays within 255 and
+    # raises past it; no exponent ever carries into the next parameter
+    if p.is_zero() or q.is_zero():
+        assert (p * q).is_zero()
+        return
+    tops = [a + b for a, b in zip(top_exponents(p), top_exponents(q))]
+    if max(tops) > 255:
+        with pytest.raises(OverflowError):
+            p * q
+        return
+    pq = p * q
+    assert top_exponents(pq) == tops
+    assert pq.evaluate(point) == p.evaluate(point) * q.evaluate(point)
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,7 +22,7 @@ from macres.combinat import (
     rho_size,
 )
 from macres.corering import MPoly, ParamRing, scalar_zero, specialize
-from macres.linalg import bareiss_det, permutation_sign
+from macres.linalg import bareiss_det, permutation_sign, submatrix
 from macres.macaulay import (
     DegenerateSystemError,
     build_assembly,
@@ -32,11 +32,15 @@ from macres.macaulay import (
     resultant_specialized,
     sign_normalization,
 )
+import macres.macaulay.assembly as assembly
 from macres.macaulay.assembly import (
+    _candidate_ts,
     _coeff_of_shifted,
-    _ladder,
+    _extraneous_factor,
+    _extraneous_labels,
     _permuted_system,
     _quotient_at,
+    side_matrix,
 )
 
 
@@ -269,12 +273,19 @@ def test_specialized_agrees_with_generic():
                 [assignment[nm] for nm in s.domain.names])
 
 
+def _assert_same_entries(a, b):
+    assert (a.nrows, a.ncols) == (b.nrows, b.ncols)
+    for i in range(a.nrows):
+        for j in range(a.ncols):
+            assert a.entry(i, j) == b.entry(i, j), (i, j)
+
+
 def test_extraneous_minor_splits_into_the_two_sides():
     s = generic_system((1, 1, 2, 3))
     asm = build_assembly(s, 2)
     full = bareiss_det(asm.extraneous_matrix())
-    left = bareiss_det(asm.e_matrix())
-    right = bareiss_det(asm.e_dual_matrix())
+    left = bareiss_det(side_matrix(s, 2))
+    right = bareiss_det(side_matrix(s, critical_degree(s.ds) - 2))
     assert full == left * right
     rng = random.Random(41)
     # (1,1,2,4) and (1,1,3,3) at t = 2 have both sides nonempty and of
@@ -285,12 +296,22 @@ def test_extraneous_minor_splits_into_the_two_sides():
     systems += [generic_system((1, 1, 2)), generic_system((1, 2, 2))]
     odd_sign = 0
     for s in systems:
-        for t in range(critical_degree(s.ds) + 2):
+        tn = critical_degree(s.ds)
+        for t in range(tn + 2):
+            # the sides cut out of the assembly are E(t) and, in the dual
+            # rows, E(tcrit - t) transposed, both read from the polynomials
+            asm = build_assembly(s, t)
+            e_rows, e_cols, dual_rows, dual_cols = _extraneous_labels(s.ds, t)
+            e = submatrix(asm.matrix, e_rows, e_cols)
+            e_dual = submatrix(asm.matrix, dual_rows, dual_cols)
+            side = side_matrix(s, t)
+            assert (e.row_labels, e.col_labels) == (side.row_labels,
+                                                    side.col_labels)
+            _assert_same_entries(e, side)
+            _assert_same_entries(e_dual, side_matrix(s, tn - t).transpose())
             # the extraneous matrix is [[B, E], [E_dual, 0]]: moving the
             # E columns past the E_dual ones gives
             # det = (-1)^(|E| |E_dual|) det E det E_dual
-            asm = build_assembly(s, t)
-            e, e_dual = asm.e_matrix(), asm.e_dual_matrix()
             assert e.is_square() and e_dual.is_square()
             split = bareiss_det(e) * bareiss_det(e_dual)
             if e.nrows * e_dual.nrows % 2:
@@ -298,17 +319,18 @@ def test_extraneous_minor_splits_into_the_two_sides():
                 odd_sign += 1
             full = bareiss_det(asm.extraneous_matrix())
             assert full == split
-            out = _quotient_at(asm)
+            sides = _extraneous_factor(s, t, {})
             if full == 0:
-                assert out is None
+                assert sides is None
             else:
-                assert out.det_ebb == full
+                assert sides[2] == full
+                assert _quotient_at(asm, sides).det_ebb == full
     assert odd_sign == 2
 
 
 def test_side_determinants_above_the_critical_degree():
-    # for t > tcrit the dual side is empty, so E is the whole
-    # extraneous matrix and E_dual is the empty matrix
+    # for t > tcrit the dual side E(tcrit - t) is empty, so E(t) is the
+    # whole extraneous matrix
     rng = random.Random(37)
     systems = [random_system(rng, degs)
                for degs in [(2, 2), (1, 1, 2), (1, 2, 3), (2, 2, 2),
@@ -323,8 +345,8 @@ def test_side_determinants_above_the_critical_degree():
         assert out.det_e == out.det_ebb
         assert out.det_e_dual == 1
         asm = build_assembly(s, t)
-        assert asm.e_dual_matrix().nrows == 0
-        assert bareiss_det(asm.e_matrix()) == bareiss_det(
+        assert side_matrix(s, -1).nrows == 0
+        assert bareiss_det(side_matrix(s, t)) == bareiss_det(
             asm.extraneous_matrix())
 
 
@@ -359,6 +381,17 @@ def dense_system(rng, degrees):
         for d in degrees])
 
 
+def _first_quotient(s, bez):
+    """The quotient at the first candidate degree of s whose extraneous
+    sides are both nonsingular, assembled with the given Bezoutian."""
+    memo = {}
+    for u in _candidate_ts(s.ds, None):
+        sides = _extraneous_factor(s, u, memo)
+        if sides is not None:
+            return _quotient_at(build_assembly(s, u, bez=bez), sides)
+    return None
+
+
 def test_closed_form_permutation_sign():
     # Res(f_sigma o tau) = (sgn sigma * sgn tau)^(d_1...d_n) Res(f) for
     # every polynomial reordering sigma and variable relabeling tau.
@@ -381,7 +414,7 @@ def test_closed_form_permutation_sign():
                 eps = (permutation_sign(pp) * permutation_sign(vp)) ** dprod
                 p = _permuted_system(s, list(pp), list(vp))
                 pbez = Bezoutian(p, bz.poly.scale(permutation_sign(pp)))
-                out, _ = _ladder(p, None, pbez)
+                out = _first_quotient(p, pbez)
                 assert out.value * eps == want, (degs, pp, vp)
             # and once more without any reuse, through resultant_specialized
             p = _permuted_system(s, identity[::-1], list(vp))
@@ -460,12 +493,42 @@ def test_fallback_provenance_is_frozen():
     systems = _fallback_systems()
     for name, t, want in FROZEN_FALLBACK:
         s = systems[name]
-        assert _ladder(s, t)[0] is None
+        # no canonical candidate degree has a nonzero extraneous minor
+        for u in _candidate_ts(s.ds, t):
+            assert bareiss_det(build_assembly(s, u).extraneous_matrix()) == 0
+            assert _extraneous_factor(s, u, {}) is None
         out = resultant_specialized(s, t)
         got = (out.value, out.t, out.sigma, out.det_m, out.det_ebb,
                out.det_e, out.det_e_dual)
         assert got == want, name
         assert all(type(x) is int for x in got)
+
+
+def test_only_the_rescuing_degree_is_assembled(monkeypatch):
+    # singular sides are skipped before anything is built, so a fallback
+    # call builds one assembly and at most one Bezoutian, as does a
+    # system whose first candidate degree succeeds
+    calls = {"build_assembly": 0, "bezoutian": 0}
+
+    def counted(name):
+        fn = getattr(assembly, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(assembly, name, counted(name))
+    systems = _fallback_systems()
+    cases = [(systems[name], t) for name, t, _ in FROZEN_FALLBACK]
+    cases.append((dense_system(random.Random(42), (1, 2, 2)), None))
+    for s, t in cases:
+        for name in calls:
+            calls[name] = 0
+        resultant_specialized(s, t)
+        assert calls["build_assembly"] == 1, (s.ds, t)
+        assert calls["bezoutian"] <= 1, (s.ds, t)
 
 
 def test_degenerate_specialization_raises():
