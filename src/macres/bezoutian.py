@@ -8,14 +8,8 @@ of every assembled matrix.
 """
 
 from .combinat import DegreeSystem, critical_degree, monomial_basis
-from .corering import (
-    MPoly,
-    ParamRing,
-    monomial_key,
-    scalar_from_int,
-    specialize,
-)
-from .linalg import LabeledMatrix, minor_det
+from .corering import MPoly, ParamRing, scalar_from_int, specialize
+from .linalg import minor_det
 
 
 class PolySystem:
@@ -192,33 +186,6 @@ def delta_slices(bez, t):
             continue
         slices[g][e[:n]] = c
     return {g: MPoly(n, bez.poly.domain, tm) for g, tm in slices.items()}
-
-
-def delta_matrix(sys, t, bez=None):
-    """LabeledMatrix of the slice coefficients: rows are the degree-t
-    monomials, columns the dual slots T_g with |g| = tcrit - t."""
-    if bez is None:
-        bez = bezoutian(sys)
-    n = sys.n
-    slices = delta_slices(bez, t)
-    rows = [("mono", e) for e in monomial_basis(n, t)]
-    gs = sorted(slices, key=monomial_key)
-    cols = [("slice", g) for g in gs]
-    grid = [[slices[g].coeff(e) for g in gs] for (_, e) in rows]
-    return LabeledMatrix(rows, cols, grid, sys.domain,
-                         blocks={"delta": ((0, len(rows)), (0, len(cols)))})
-
-
-def delta_zero(sys, bez=None):
-    """The Bezoutian with the whole Y block set to zero."""
-    if bez is None:
-        bez = bezoutian(sys)
-    n = sys.n
-    out = {}
-    for e, c in bez.poly.terms.items():
-        if all(k == 0 for k in e[n:]):
-            out[e[:n]] = c
-    return MPoly(n, sys.domain, out)
 
 
 def jacobian(sys):

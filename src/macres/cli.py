@@ -289,7 +289,11 @@ def _read_doc(args):
 
 
 def _pick_t(args, doc):
-    return args.t if args.t is not None else doc.t
+    if args.t is None:
+        return doc.t
+    if args.t < 0:
+        raise CliError("t: expected a nonnegative integer")
+    return args.t
 
 
 SIGN_NOTE_ON = ("sign normalized: the pure power system X_i^d_i has "
@@ -310,6 +314,8 @@ def cmd_resultant(args):
         try:
             out = resultant_generic(system, t,
                                     max_symbolic_size=args.max_symbolic_size)
+        except DegenerateSystemError:
+            raise
         except ValueError as ex:
             raise CliError(str(ex))
     else:
@@ -655,14 +661,12 @@ def _build_parser():
     p.add_argument("degrees", nargs="*", type=int)
     p.add_argument("--input", default="-",
                    help="input JSON file when no degrees are given")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--timing", action="store_true")
+    _add_common(p, with_input=False)
     p.set_defaults(func=cmd_sizes)
 
     p = subs.add_parser("verify", help="run built-in identity suites")
     p.add_argument("suite", nargs="?", default="all")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--timing", action="store_true")
+    _add_common(p, with_input=False)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -45,43 +45,88 @@ def _coeff_of_shifted(f, target, shift):
     return f.terms.get(e, scalar_zero(f.domain))
 
 
-def assembly_labels(ds, t, mult_cols=None, dual_rows=None):
-    """Row and column label lists for the degree-t assembly.
-
-    mult_cols and dual_rows, when given, override the standard
-    multiplier selections with explicit (j, exponent) pairs; this is
-    the advanced entry point for alternate column choices.  No search
-    is performed.
-    """
+def _map_labels(ds, t, mults):
+    """Row and column labels of a degree-t map: the degree-t monomials
+    and the dual slots ("dual", j, g) for g in mults(ds, tcrit - t, j)
+    as rows, the slices of degree tcrit - t and the multiplier slots
+    ("mult", j, g) for g in mults(ds, t, j) as columns."""
     n = ds.n
     tn = critical_degree(ds)
     rows = [("mono", e) for e in monomial_basis(n, t)]
-    if dual_rows is None:
-        dual_rows = [(j, g) for j in range(1, n + 1)
-                     for g in stj_basis(ds, tn - t, j)]
-    rows += [("dual", j, tuple(g)) for j, g in dual_rows]
+    rows += [("dual", j, g) for j in range(1, n + 1)
+             for g in mults(ds, tn - t, j)]
     cols = [("slice", g) for g in monomial_basis(n, tn - t)]
-    if mult_cols is None:
-        mult_cols = [(j, g) for j in range(1, n + 1)
-                     for g in stj_basis(ds, t, j)]
-    cols += [("mult", j, tuple(g)) for j, g in mult_cols]
+    cols += [("mult", j, g) for j in range(1, n + 1)
+             for g in mults(ds, t, j)]
+    return rows, cols
+
+
+def assembly_labels(ds, t):
+    """Row and column label lists for the degree-t assembly."""
+    return _map_labels(ds, t, stj_basis)
+
+
+def full_labels(ds, t):
+    """Row and column label lists of the unrestricted degree-t map:
+    every multiplier slot on both sides, all coefficient slots."""
+    return _map_labels(
+        ds, t, lambda ds, u, j: monomial_basis(ds.n, u - ds.degrees[j - 1]))
+
+
+def _side_labels(ds, u):
+    """Row and column labels of the side E(u): the doubly-divisible
+    degree-u monomials against the extraneous multipliers (j, g)."""
+    rows = [("mono", e) for e in et_rows(ds, u)]
+    cols = [("mult", j, g) for j in range(1, ds.n + 1)
+            for g in etj_basis(ds, u, j)]
     return rows, cols
 
 
 def _extraneous_labels(ds, t):
     """Row and column labels of the two sides of the degree-t extraneous
     submatrix [[B, E], [E_dual, 0]]: (E rows, E columns, E_dual rows,
-    E_dual columns).  E pairs the doubly-divisible monomial rows with
-    the extraneous multiplier columns at degree t, E_dual the dual rows
-    with the slice columns at degree tcrit - t."""
-    tn = critical_degree(ds)
-    e_rows = [("mono", e) for e in et_rows(ds, t)]
-    e_cols = [("mult", j, g) for j in range(1, ds.n + 1)
-              for g in etj_basis(ds, t, j)]
-    dual_rows = [("dual", j, g) for j in range(1, ds.n + 1)
-                 for g in etj_basis(ds, tn - t, j)]
-    dual_cols = [("slice", g) for g in et_rows(ds, tn - t)]
+    E_dual columns).  E is the side E(t); E_dual holds E(tcrit - t)
+    transposed, its multipliers as dual rows and its monomials as slice
+    columns."""
+    e_rows, e_cols = _side_labels(ds, t)
+    d_rows, d_cols = _side_labels(ds, critical_degree(ds) - t)
+    dual_rows = [("dual", j, g) for _, j, g in d_cols]
+    dual_cols = [("slice", e) for _, e in d_rows]
     return e_rows, e_cols, dual_rows, dual_cols
+
+
+def _fill(sys, rows, cols, bez=None):
+    """The entry grid of the coefficient map on any labels: the column
+    ("mult", j, g) holds X^g * f_j along the ("mono", e) rows, the row
+    ("dual", j, g) holds it along the ("slice", e) columns, a (mono,
+    slice) entry is the Bezoutian coefficient when bez is given, and
+    every other entry is domain zero."""
+    zero = scalar_zero(sys.domain)
+    grid = [[zero] * len(cols) for _ in rows]
+    mono_at = {lab[1]: i for i, lab in enumerate(rows) if lab[0] == "mono"}
+    slice_at = {lab[1]: j for j, lab in enumerate(cols) if lab[0] == "slice"}
+    if bez is not None:
+        bterms = bez.poly.terms
+        for e, i in mono_at.items():
+            row = grid[i]
+            for g, j in slice_at.items():
+                row[j] = bterms.get(e + g, zero)
+    for j, lab in enumerate(cols):
+        if lab[0] == "mult":
+            _, k, g = lab
+            for e, c in sys.polys[k - 1].terms.items():
+                i = mono_at.get(tuple(a + b for a, b in zip(e, g)))
+                if i is not None:
+                    grid[i][j] = c
+    for i, lab in enumerate(rows):
+        if lab[0] == "dual":
+            _, k, g = lab
+            row = grid[i]
+            for e, c in sys.polys[k - 1].terms.items():
+                j = slice_at.get(tuple(a + b for a, b in zip(e, g)))
+                if j is not None:
+                    row[j] = c
+    return grid
 
 
 class MacaulayAssembly:
@@ -96,10 +141,6 @@ class MacaulayAssembly:
         self.matrix = matrix
         self.bez = bez
 
-    @property
-    def size(self):
-        return self.matrix.nrows
-
     def extraneous_matrix(self):
         e_rows, e_cols, dual_rows, dual_cols = _extraneous_labels(
             self.system.ds, self.t)
@@ -113,84 +154,51 @@ def side_matrix(sys, u):
     monomial in X^g * f_j; empty for u < 0.  The dual rows of the
     degree-t extraneous submatrix hold the same entries transposed, so
     its E_dual is E(tcrit - t)^T."""
-    ds = sys.ds
-    rows = [("mono", e) for e in et_rows(ds, u)]
-    cols = [("mult", j, g) for j in range(1, ds.n + 1)
-            for g in etj_basis(ds, u, j)]
-    grid = [[_coeff_of_shifted(sys.polys[j - 1], e, g) for _, j, g in cols]
-            for _, e in rows]
-    return LabeledMatrix(rows, cols, grid, sys.domain)
+    rows, cols = _side_labels(sys.ds, u)
+    return LabeledMatrix(rows, cols, _fill(sys, rows, cols), sys.domain)
 
 
-def build_assembly(sys, t, bez=None, mult_cols=None, dual_rows=None):
-    """Assemble the degree-t matrix for the system.
-
-    With the default label selections the matrix is square of size
-    rho_size(ds, t); for t above the critical degree the dual side is
-    empty and the matrix is the pure multiplication matrix.
-    """
+def _map_matrix(sys, t, labels, bez):
+    """The degree-t map on labels(ds, t) with its four blocks, and the
+    Bezoutian of its delta block, built when t <= tcrit and none is
+    given."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    ds = sys.ds
-    n = ds.n
-    tn = critical_degree(ds)
-    if bez is None and t <= tn:
+    if bez is None and t <= critical_degree(sys.ds):
         bez = bezoutian(sys)
-    rows, cols = assembly_labels(ds, t, mult_cols=mult_cols, dual_rows=dual_rows)
-    zero = scalar_zero(sys.domain)
-    nmono = len(monomial_basis(n, t))
-    nslice = len(monomial_basis(n, tn - t))
-    grid = [[zero] * len(cols) for _ in rows]
-    if bez is not None:
-        bterms = bez.poly.terms
-        for i in range(nmono):
-            e = rows[i][1]
-            row = grid[i]
-            for j in range(nslice):
-                row[j] = bterms.get(e + cols[j][1], zero)
-    # scatter each shifted polynomial into the block that holds it: the
-    # column (j, g) holds X^g * f_j along the monomial rows, the dual row
-    # (j, g) holds it along the slice columns
-    row_of = {rows[i][1]: i for i in range(nmono)}
-    for j in range(nslice, len(cols)):
-        _, k, g = cols[j]
-        for e, c in sys.polys[k - 1].terms.items():
-            i = row_of.get(tuple(a + b for a, b in zip(e, g)))
-            if i is not None:
-                grid[i][j] = c
-    col_of = {cols[j][1]: j for j in range(nslice)}
-    for i in range(nmono, len(rows)):
-        _, k, g = rows[i]
-        row = grid[i]
-        for e, c in sys.polys[k - 1].terms.items():
-            j = col_of.get(tuple(a + b for a, b in zip(e, g)))
-            if j is not None:
-                row[j] = c
+    rows, cols = labels(sys.ds, t)
+    nmono = sum(1 for lab in rows if lab[0] == "mono")
+    nslice = sum(1 for lab in cols if lab[0] == "slice")
     blocks = {
         "delta": ((0, nmono), (0, nslice)),
         "sylvester": ((0, nmono), (nslice, len(cols))),
         "dual": ((nmono, len(rows)), (0, nslice)),
         "zero": ((nmono, len(rows)), (nslice, len(cols))),
     }
-    m = LabeledMatrix(rows, cols, grid, sys.domain, blocks=blocks)
-    if mult_cols is None and dual_rows is None and m.nrows != rho_size(ds, t):
+    m = LabeledMatrix(rows, cols, _fill(sys, rows, cols, bez), sys.domain,
+                      blocks=blocks)
+    return m, bez
+
+
+def build_assembly(sys, t, bez=None):
+    """Assemble the degree-t matrix for the system.
+
+    The matrix is square of size rho_size(ds, t); for t above the
+    critical degree the dual side is empty and the matrix is the pure
+    multiplication matrix.  Its "delta" block is the Bezoutian slice
+    of Y-degree tcrit - t.
+    """
+    m, bez = _map_matrix(sys, t, assembly_labels, bez)
+    if m.nrows != rho_size(sys.ds, t):
         raise AssertionError("assembly size %d differs from predicted %d"
-                             % (m.nrows, rho_size(ds, t)))
+                             % (m.nrows, rho_size(sys.ds, t)))
     return MacaulayAssembly(sys, t, m, bez)
 
 
 def full_assembly(sys, t, bez=None):
-    """The unrestricted map: full multiplier sets on both sides, all
-    coefficient slots.  Rectangular in general."""
-    ds = sys.ds
-    n = ds.n
-    tn = critical_degree(ds)
-    mult_cols = [(j, g) for j in range(1, n + 1)
-                 for g in monomial_basis(n, t - ds.degrees[j - 1])]
-    dual_rows = [(j, g) for j in range(1, n + 1)
-                 for g in monomial_basis(n, tn - t - ds.degrees[j - 1])]
-    return build_assembly(sys, t, bez=bez,
-                          mult_cols=mult_cols, dual_rows=dual_rows).matrix
+    """The unrestricted map on full_labels(ds, t).  Rectangular in
+    general."""
+    return _map_matrix(sys, t, full_labels, bez)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import itertools
 from ..combinat import critical_degree, monomial_basis
 from ..corering import ParamRing, scalar_is_zero, scalar_zero
 from ..linalg import LabeledMatrix, grid_mul, rank_over_fractions
-from .assembly import _coeff_of_shifted, full_assembly
+from .assembly import _coeff_of_shifted, full_assembly, full_labels
 
 
 def _index_subsets(n, size):
@@ -20,13 +20,10 @@ def _index_subsets(n, size):
 def _term_labels(ds, t, k):
     """Basis labels of the complex term in slot k, for -n <= k <= n-1.
 
-    Slot -1 carries the dual coefficient space next to the first
-    multiplier block, slot 0 the degree-t monomials next to the dual
-    multiplier block; these two reuse the assembly's label shapes so
-    the middle differential is exactly the unrestricted assembly.
+    Slots -1 and 0 are the columns and rows of the unrestricted
+    assembly, so the middle differential is exactly full_assembly.
     """
     n = ds.n
-    tn = critical_degree(ds)
     d = ds.degrees
     if k <= -2:
         labels = []
@@ -34,16 +31,10 @@ def _term_labels(ds, t, k):
             u = t - sum(d[i - 1] for i in sub)
             labels += [("k", sub, g) for g in monomial_basis(n, u)]
         return labels
-    if k == -1:
-        labels = [("slice", g) for g in monomial_basis(n, tn - t)]
-        labels += [("mult", j, g) for j in range(1, n + 1)
-                   for g in monomial_basis(n, t - d[j - 1])]
-        return labels
-    if k == 0:
-        labels = [("mono", e) for e in monomial_basis(n, t)]
-        labels += [("dual", j, g) for j in range(1, n + 1)
-                   for g in monomial_basis(n, tn - t - d[j - 1])]
-        return labels
+    if k in (-1, 0):
+        rows, cols = full_labels(ds, t)
+        return cols if k == -1 else rows
+    tn = critical_degree(ds)
     labels = []
     for sub in _index_subsets(n, k + 1):
         u = tn - t - sum(d[i - 1] for i in sub)

@@ -7,9 +7,7 @@ import pytest
 from macres.bezoutian import (
     PolySystem,
     bezoutian,
-    delta_matrix,
     delta_slices,
-    delta_zero,
     generic_system,
     incremental_quotient,
     jacobian,
@@ -18,6 +16,7 @@ from macres.bezoutian import (
 )
 from macres.combinat import critical_degree, monomial_basis
 from macres.corering import MPoly, derivative
+from macres.macaulay import build_assembly
 
 
 def random_system(rng, degrees, lo=-5, hi=5):
@@ -185,25 +184,23 @@ def test_multilinearity_in_each_polynomial():
 
 
 def test_delta_matrix_entries_match_slices():
+    # the assembly's "delta" block is the one builder of the slice
+    # matrix: degree-t monomial rows against the slices in slice order
     rng = random.Random(27)
     s = random_system(rng, (1, 1, 2))
     bz = bezoutian(s)
     for t in (0, 1):
-        m = delta_matrix(s, t, bz)
+        m = build_assembly(s, t, bez=bz).matrix
+        (r0, r1), (c0, c1) = m.blocks["delta"]
         slices = delta_slices(bz, t)
-        for i, (_, e) in enumerate(m.row_labels):
-            for j, (_, g) in enumerate(m.col_labels):
+        assert [lab[1] for lab in m.row_labels[r0:r1]] == list(
+            monomial_basis(s.n, t))
+        assert [lab[1] for lab in m.col_labels[c0:c1]] == list(slices)
+        for i in range(r0, r1):
+            e = m.row_labels[i][1]
+            for j in range(c0, c1):
+                g = m.col_labels[j][1]
                 assert m.entry(i, j) == slices[g].coeff(e)
-
-
-def test_delta_zero_is_the_full_y_free_part():
-    rng = random.Random(28)
-    s = random_system(rng, (2, 2))
-    bz = bezoutian(s)
-    dz = delta_zero(s, bz)
-    n, tn = s.n, critical_degree(s.ds)
-    top = delta_slices(bz, tn)[(0,) * n]
-    assert dz == top
 
 
 def test_jacobian_euler_identity():

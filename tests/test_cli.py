@@ -1,5 +1,6 @@
 """Front-end behavior: parsing, output stability, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -237,6 +238,81 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["gcp"], GENERIC_112, tmp_path) == 1
     capsys.readouterr()
+    # a sparse generic system whose extraneous sides vanish identically
+    # at t = 2 is degenerate, not a usage error
+    sparse = json.dumps({
+        "degrees": [1, 1, 2],
+        "mode": "generic",
+        "polys": [[{"e": [0, 1, 0]}, {"e": [0, 0, 1]}],
+                  [{"e": [1, 0, 0]}, {"e": [0, 0, 1]}],
+                  [{"e": [2, 0, 0]}, {"e": [0, 1, 1]}]],
+    }).encode()
+    assert run_cli(["resultant", "--t", "2"], sparse, tmp_path) == 2
+    assert capsys.readouterr().err.startswith("degenerate: ")
+    # the size gate is a refusal, so it stays a usage error
+    assert run_cli(["resultant", "--max-symbolic-size", "2"],
+                   GENERIC_112, tmp_path) == 1
+    assert capsys.readouterr().err.startswith("error: symbolic matrix size")
+    # a negative --t is rejected like a negative "t" in the document
+    for command in ("resultant", "matrix", "gcp"):
+        assert run_cli([command, "--t", "-1"], INT_12, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: t: expected a nonnegative integer\n")
+
+
+# the integer document of the README, and a rational (1,2,2) system
+README_112 = json.dumps({
+    "degrees": [1, 1, 2],
+    "mode": "integer",
+    "polys": [[{"c": "1", "e": [1, 0, 0]}, {"c": "2", "e": [0, 0, 1]}],
+              [{"c": "1", "e": [0, 1, 0]}, {"c": "-1", "e": [0, 0, 1]}],
+              [{"c": "1", "e": [2, 0, 0]}, {"c": "3", "e": [0, 1, 1]}]],
+    "t": 1,
+}).encode()
+
+RATIONAL_122 = json.dumps({
+    "degrees": [1, 2, 2],
+    "mode": "rational",
+    "polys": [[{"c": "1/2", "e": [1, 0, 0]}, {"c": "-3", "e": [0, 1, 0]},
+               {"c": "2/3", "e": [0, 0, 1]}],
+              [{"c": "1", "e": [2, 0, 0]}, {"c": "-5/4", "e": [1, 1, 0]},
+               {"c": "2", "e": [0, 1, 1]}, {"c": "1/3", "e": [0, 0, 2]}],
+              [{"c": "-1/2", "e": [2, 0, 0]}, {"c": "7", "e": [0, 2, 0]},
+               {"c": "3/5", "e": [1, 0, 1]}, {"c": "-1", "e": [0, 0, 2]}]],
+}).encode()
+
+# sha256 of the `macres matrix` stdout at t = 0 .. tcrit + 1, in json
+# and in text: any change to a label, an entry, a block range or their
+# order shows here
+MATRIX_SHA256 = {
+    (README_112, "json"): [
+        "f1cd0b7223f30c70090b35184b6c044299b07dde2404e82f32b9206997e2236f",
+        "9c787dcc841260aead100b2fbdad1479980164e750a15827d81bdc26f1becbf8",
+        "e4d8c6969088692a8336928ad23f2121369ed033c474cb87c29cc349bd92d2bb"],
+    (README_112, "text"): [
+        "e0f3ef29e6b39a664fa2e01d0ba764f187ad2d2f144c77ceea8eed97ca34b532",
+        "d6fbbf815da4c59bb1eb12dd6c0a1a487922aa0cdf3c446eae8c52c3852a939c",
+        "750cf9797f05ce39efe28042949dd4ca50bb8979052b7ac1d121cc155a0e8673"],
+    (RATIONAL_122, "json"): [
+        "450cf030a7a6b52965e73e75681834ce94a3f3241dad368abad80b53575f1e1a",
+        "efc4ab92140ac5c95c4d24a3f0adbd2b37a085bb682a824eb3ccdd8aeb41baa2",
+        "a781e257eff148938ad453879ce2ace9ed65c4a0ea8b1e384655ee232c04db5d",
+        "11c70b856ebbf5a336327c48b44fc02a0be6ca7daedd33e79dcd902a898d192b"],
+    (RATIONAL_122, "text"): [
+        "ff4ed133361c27cbde9af9dcf001f10fc3688411296d1f94b92e835d30dd5494",
+        "300fd3060526209dce22c0ab356e15c26c15eb237b13ad26bba21e30487ae420",
+        "4e443b1c60c9922fd3c9dd40dafb301b964d3d9370d2cc36b7c69546cebc6437",
+        "9ca689e75bd3c90f346762d78710bc35278683e1b56371bcce005d89cc95c56e"],
+}
+
+
+def test_matrix_output_is_frozen(tmp_path, capsys):
+    for (data, fmt), digests in MATRIX_SHA256.items():
+        for t, digest in enumerate(digests):
+            assert run_cli(["matrix", "--format", fmt, "--t", str(t)],
+                           data, tmp_path) == 0
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == digest, (fmt, t)
 
 
 def test_byte_determinism_over_subprocess():

@@ -274,10 +274,13 @@ def test_specialized_agrees_with_generic():
 
 
 def _assert_same_entries(a, b):
+    # equal values of one type: a bare 0 where Fraction(0) belongs is
+    # a different entry
     assert (a.nrows, a.ncols) == (b.nrows, b.ncols)
     for i in range(a.nrows):
         for j in range(a.ncols):
-            assert a.entry(i, j) == b.entry(i, j), (i, j)
+            x, y = a.entry(i, j), b.entry(i, j)
+            assert type(x) is type(y) and x == y, (i, j)
 
 
 def test_extraneous_minor_splits_into_the_two_sides():
@@ -293,6 +296,11 @@ def test_extraneous_minor_splits_into_the_two_sides():
     systems = [random_system(rng, degs)
                for degs in [(2, 2), (1, 1, 2), (2, 2, 2), (1, 2, 3),
                             (1, 1, 2, 3), (1, 1, 2, 4), (1, 1, 3, 3)]]
+    systems.append(PolySystem((1, 2, 2), [
+        MPoly(3, "fraction",
+              {e: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+               for e in monomial_basis(3, d)})
+        for d in (1, 2, 2)]))
     systems += [generic_system((1, 1, 2)), generic_system((1, 2, 2))]
     odd_sign = 0
     for s in systems:
@@ -305,6 +313,7 @@ def test_extraneous_minor_splits_into_the_two_sides():
             e = submatrix(asm.matrix, e_rows, e_cols)
             e_dual = submatrix(asm.matrix, dual_rows, dual_cols)
             side = side_matrix(s, t)
+            _assert_entry_rule(side, s, {})
             assert (e.row_labels, e.col_labels) == (side.row_labels,
                                                     side.col_labels)
             _assert_same_entries(e, side)
