@@ -28,18 +28,6 @@ def monomial_key(e):
     return (sum(e), tuple(-c for c in e))
 
 
-def monomial_cmp(e1, e2):
-    """Three-way comparison under the canonical monomial order."""
-    if len(e1) != len(e2):
-        raise ValueError("exponent vectors of different length: %r vs %r" % (e1, e2))
-    k1, k2 = monomial_key(e1), monomial_key(e2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parameter polynomials (the generic-coefficient domain)
 # ---------------------------------------------------------------------------
@@ -295,9 +283,6 @@ class ParamPoly:
                 i += 1
             total += v
         return total
-
-    def term_count(self):
-        return len(self.terms)
 
     def __str__(self):
         if not self.terms:

@@ -5,12 +5,10 @@ coefficient slices, multiplier tags) so that structured submatrices can
 be cut out by label.  Determinants of integer and rational matrices use
 Bareiss elimination, whose divisions are exact in any integral domain;
 determinants with polynomial entries use division-free memoized minor
-expansion; characteristic polynomials use the division-free Berkowitz
-algorithm.
+expansion.
 """
 
 from .corering import (
-    ParamPoly,
     ParamRing,
     scalar_exact_div,
     scalar_is_zero,
@@ -53,12 +51,6 @@ class LabeledMatrix:
 
     def entry(self, i, j):
         return self.entries[i][j]
-
-    def row_index(self, label):
-        try:
-            return self.row_labels.index(label)
-        except ValueError:
-            raise KeyError("unknown row label %r" % (label,)) from None
 
     def col_index(self, label):
         try:
@@ -116,15 +108,8 @@ def permutation_sign(perm):
 
 
 def _pivot_weight(c):
-    # prefer pivots with few terms; among numbers prefer units
-    if isinstance(c, ParamPoly):
-        return len(c.terms)
-    try:
-        if c == 1 or c == -1:
-            return 0
-    except TypeError:
-        pass
-    return 1
+    # prefer unit pivots
+    return 0 if c == 1 or c == -1 else 1
 
 
 def minor_det(grid, one):
@@ -234,53 +219,6 @@ def bareiss_det(m):
     if rank < m.nrows:
         return scalar_zero(m.domain)
     return -d if sign < 0 else d
-
-
-def berkowitz_charpoly(m):
-    """Coefficients of det(sI - M), highest power first (monic).
-
-    Division-free, so it works verbatim over parameter polynomials.
-    The empty matrix yields the constant polynomial 1.
-    """
-    if not m.is_square():
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.nrows
-    one = scalar_one(m.domain)
-    zero = scalar_zero(m.domain)
-    if n == 0:
-        return [one]
-    grid = m.entries
-    c = [one, -grid[0][0]]
-    for r in range(1, n):
-        # Toeplitz column: 1, -a_rr, -(R C), -(R A C), -(R A^2 C), ...
-        rowv = [grid[r][k] for k in range(r)]
-        colv = [grid[k][r] for k in range(r)]
-        toep = [one, -grid[r][r]]
-        v = colv
-        for i in range(r):
-            s = zero
-            for k in range(r):
-                s = s + rowv[k] * v[k]
-            toep.append(-s)
-            if i < r - 1:
-                v = [sum_scalar(zero, (grid[a][b] * v[b] for b in range(r)))
-                     for a in range(r)]
-        cnew = []
-        for i in range(r + 2):
-            s = zero
-            lo = max(0, i - len(toep) + 1)
-            for j in range(lo, min(i, len(c) - 1) + 1):
-                s = s + toep[i - j] * c[j]
-            cnew.append(s)
-        c = cnew
-    return c
-
-
-def sum_scalar(zero, items):
-    total = zero
-    for x in items:
-        total = total + x
-    return total
 
 
 def rank_over_fractions(m):

@@ -7,11 +7,11 @@ the generalized characteristic polynomial.
 """
 
 import math
+from fractions import Fraction
 
-from ..bezoutian import jacobian
+from ..bezoutian import PolySystem, jacobian, monomial_system
 from ..combinat import critical_degree, monomial_basis
 from ..corering import (
-    InexactDivisionError,
     MPoly,
     ParamRing,
     derivative,
@@ -19,14 +19,13 @@ from ..corering import (
     scalar_from_int,
     scalar_zero,
 )
-from ..linalg import LabeledMatrix, bareiss_det, berkowitz_charpoly, minor_det
+from ..linalg import LabeledMatrix, bareiss_det, minor_det
 from .assembly import (
     DegenerateSystemError,
     MacaulayAssembly,
     ResultantValue,
     _coeff_of_shifted,
     _extraneous_factor,
-    _perm_targets,
     _quotient_at,
     build_assembly,
     sign_normalization,
@@ -212,73 +211,61 @@ def jacobian_variant(sys):
 # generalized characteristic polynomial
 # ---------------------------------------------------------------------------
 
-def _identity_permuted(m, ds):
-    """Columns rearranged so the pure power system specializes the
-    matrix to the identity; row order is kept."""
-    targets = _perm_targets(ds, m.col_labels)
-    col_of = {}
-    for j, tg in enumerate(targets):
-        col_of[tg] = j
-    order = []
-    for rl in m.row_labels:
-        j = col_of.get(rl)
-        if j is None:
-            raise AssertionError("no column lands on row %r under the pure "
-                                 "power system" % (rl,))
-        order.append(j)
-    grid = [[row[j] for j in order] for row in m.entries]
-    return LabeledMatrix(m.row_labels, [m.col_labels[j] for j in order],
-                         grid, m.domain)
-
-
-def _divmod_coeffs(num, den):
-    """Quotient and remainder of integer coefficient lists, highest
-    degree first; den must be monic."""
-    out = []
-    rem = list(num)
-    dn = len(den) - 1
-    while len(rem) - 1 >= dn:
-        c = rem[0]
-        out.append(c)
-        for k in range(len(den)):
-            rem[k] -= c * den[k]
-        rem.pop(0)
-    return out, rem
+def _interpolate(xs, ys):
+    """Coefficients, lowest degree first, of the polynomial of degree
+    below len(xs) through the points (xs[k], ys[k]), by Lagrange's
+    formula over the rationals."""
+    out = [Fraction(0)] * len(xs)
+    for k, (xk, yk) in enumerate(zip(xs, ys)):
+        # basis: prod_{j != k} (s - x_j), lowest degree first
+        basis = [1]
+        denom = 1
+        for j, xj in enumerate(xs):
+            if j != k:
+                basis = ([-xj * basis[0]]
+                         + [a - xj * b for a, b in zip(basis, basis[1:])]
+                         + [1])
+                denom *= xk - xj
+        for i, c in enumerate(basis):
+            out[i] += Fraction(yk * c, denom)
+    return out
 
 
 def gcp(sys, t=None):
-    """Generalized characteristic polynomial of an integer system, as a
+    """Generalized characteristic polynomial C(s) = Res(s*X^d - f) of an
+    integer system (Canny, J. Symb. Comp. 9(3), 1990), as a
     lowest-degree-first integer coefficient list.
 
-    Both the assembly and its extraneous submatrix are column-ordered
-    so the pure power system specializes them to identity matrices;
-    the result is the exact quotient of their characteristic
-    polynomials.  Its constant term is plus or minus the resultant,
-    and when that vanishes because of roots at infinity the lowest
-    nonzero coefficient takes over as the meaningful invariant.
-
-    The division is guaranteed above the critical degree (the default
-    t); below it special systems can leave a remainder, and the error
-    says to retry larger.
+    C is monic of degree D = sum_i prod_{j != i} d_j, and its constant
+    term is (-1)^D Res(f).  When that vanishes because of roots at
+    infinity the lowest nonzero coefficient takes over as the
+    meaningful invariant.  The values C(1), C(2), ... come from the
+    degree-t quotient formula (default t = tcrit + 1), so the polynomial
+    is the same at every t; a sample whose extraneous factor vanishes
+    is skipped.  That factor is a polynomial in s with leading
+    coefficient +-1, taken from the pure power system, so only finitely
+    many samples are skipped.  The D values fix C(s) - s^D by
+    interpolation.
     """
     if isinstance(sys.domain, ParamRing) or sys.domain != "int":
         raise TypeError("gcp expects integer coefficients")
     ds = sys.ds
-    tn = critical_degree(ds)
     if t is None:
-        t = tn + 1
-    asm = build_assembly(sys, t)
-    num = berkowitz_charpoly(_identity_permuted(asm.matrix, ds))
-    den = berkowitz_charpoly(_identity_permuted(asm.extraneous_matrix(), ds))
-    quo, rem = _divmod_coeffs(num, den)
-    if any(rem):
-        if t <= tn:
-            raise InexactDivisionError(
-                "characteristic polynomial division left a remainder at "
-                "t=%d; retry with t larger than the critical degree %d"
-                % (t, tn))
-        raise AssertionError("characteristic polynomial division failed "
-                             "above the critical degree; this indicates a "
-                             "bug")
-    quo.reverse()
-    return quo
+        t = critical_degree(ds) + 1
+    degree = sum(ds.resultant_degree(i) for i in range(1, ds.n + 1))
+    powers = monomial_system(ds.degrees).polys
+    xs, ys = [], []
+    s = 0
+    while len(xs) < degree:
+        s += 1
+        g = PolySystem(ds, [p.scale(s) - f for p, f in zip(powers, sys.polys)])
+        sides = _extraneous_factor(g, t, {})
+        if sides is None:
+            continue
+        xs.append(s)
+        ys.append(_quotient_at(build_assembly(g, t), sides).value - s ** degree)
+    coeffs = _interpolate(xs, ys)
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("interpolated characteristic polynomial has a "
+                             "non-integer coefficient; this indicates a bug")
+    return [int(c) for c in coeffs] + [1]

