@@ -55,28 +55,33 @@ class PolySystem:
         return "PolySystem(degrees=%r)" % (self.ds.degrees,)
 
 
-def generic_system(degrees):
-    """The system whose coefficients are independent named parameters.
+def sparse_generic_system(degrees, supports):
+    """The system whose coefficients on the listed exponents are
+    independent named parameters, every other coefficient zero.
 
     Parameter a_i_k is the coefficient of the k-th degree-d_i monomial
-    of f_i under the canonical monomial order (both indices 1-based).
+    of f_i under the canonical monomial order (both indices 1-based),
+    whatever the support, and parameters are ordered by i, then k.
     """
     ds = DegreeSystem(degrees)
-    names = []
-    blocks = []
-    for i, d in enumerate(ds.degrees, start=1):
-        block = ["a_%d_%d" % (i, k)
-                 for k in range(1, len(monomial_basis(ds.n, d)) + 1)]
-        blocks.append(block)
-        names.extend(block)
-    ring = ParamRing(names)
-    polys = []
-    for i, d in enumerate(ds.degrees, start=1):
-        terms = {}
-        for k, e in enumerate(monomial_basis(ds.n, d), start=1):
-            terms[e] = ring.gen("a_%d_%d" % (i, k))
-        polys.append(MPoly(ds.n, ring, terms))
+    layout = []
+    for i, (d, sup) in enumerate(zip(ds.degrees, supports), start=1):
+        rank = {e: k for k, e in enumerate(monomial_basis(ds.n, d), start=1)}
+        layout.append([(e, "a_%d_%d" % (i, rank[e]))
+                       for e in sorted(sup, key=lambda e: rank[e])])
+    blocks = [[nm for _, nm in pairs] for pairs in layout]
+    ring = ParamRing([nm for block in blocks for nm in block])
+    polys = [MPoly(ds.n, ring, {e: ring.gen(nm) for e, nm in pairs})
+             for pairs in layout]
     return PolySystem(ds, polys, param_blocks=blocks)
+
+
+def generic_system(degrees):
+    """The generic system on full supports: every coefficient is an
+    independent parameter (see sparse_generic_system)."""
+    ds = DegreeSystem(degrees)
+    return sparse_generic_system(
+        ds.degrees, [monomial_basis(ds.n, d) for d in ds.degrees])
 
 
 def monomial_system(degrees, domain="int"):

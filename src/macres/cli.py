@@ -35,7 +35,14 @@ import sys
 import time
 from fractions import Fraction
 
-from .bezoutian import PolySystem, bezoutian, generic_system, monomial_system
+from .bezoutian import (
+    PolySystem,
+    bezoutian,
+    generic_system,
+    monomial_system,
+    sparse_generic_system,
+    system_from_terms,
+)
 from .combinat import (
     DegreeSystem,
     critical_degree,
@@ -79,27 +86,6 @@ class InputDocument:
 # ---------------------------------------------------------------------------
 # input parsing
 # ---------------------------------------------------------------------------
-
-def _sparse_generic(degrees, supports):
-    """Generic system restricted to the listed exponents, with the same
-    parameter naming as the full generic system."""
-    n = len(degrees)
-    names = []
-    layout = []
-    for i, (d, sup) in enumerate(zip(degrees, supports), start=1):
-        rank = {e: k for k, e in enumerate(monomial_basis(n, d), start=1)}
-        pairs = [(e, "a_%d_%d" % (i, rank[e]))
-                 for e in sorted(sup, key=lambda e: rank[e])]
-        layout.append(pairs)
-        names.extend(nm for _, nm in pairs)
-    ring = ParamRing(names)
-    polys = []
-    blocks = []
-    for pairs in layout:
-        polys.append(MPoly(n, ring, {e: ring.gen(nm) for e, nm in pairs}))
-        blocks.append([nm for _, nm in pairs])
-    return PolySystem(degrees, polys, param_blocks=blocks)
-
 
 def parse_input(data):
     """Validate an input document and build its polynomial system."""
@@ -175,12 +161,11 @@ def parse_input(data):
             seen[e] = value
         supports.append(seen)
     if mode == "generic":
-        system = _sparse_generic(degrees, supports)
+        system = sparse_generic_system(degrees, supports)
     else:
         domain = "int" if mode == "integer" else "fraction"
         try:
-            system = PolySystem(degrees,
-                                [MPoly(n, domain, dict(s)) for s in supports])
+            system = system_from_terms(degrees, supports, domain)
         except ValueError as ex:
             raise CliError("polys: %s" % ex)
     return InputDocument(degrees, mode, t, system)

@@ -8,11 +8,12 @@ extraneous submatrix gives the resultant, normalized here so that the
 pure power system X_1^{d_1}, ..., X_n^{d_n} has resultant +1.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from ..bezoutian import Bezoutian, PolySystem, bezoutian
+from ..bezoutian import Bezoutian, PolySystem, bezoutian, monomial_system
 from ..combinat import (
     critical_degree,
     et_rows,
@@ -95,12 +96,27 @@ def _extraneous_labels(ds, t):
     return e_rows, e_cols, dual_rows, dual_cols
 
 
+def _koszul_key(label):
+    """(side, index tuple S, exponent g) of a label of the coupled
+    complex: side 0 holds ("mono", e), ("mult", j, g) and ("k", S, g),
+    side 1 holds ("slice", g), ("dual", j, g) and ("dualk", S, g)."""
+    kind = label[0]
+    side = 1 if kind in ("slice", "dual", "dualk") else 0
+    if kind in ("mono", "slice"):
+        return side, (), label[1]
+    if kind in ("mult", "dual"):
+        return side, (label[1],), label[2]
+    return side, label[1], label[2]
+
+
 def _fill(sys, rows, cols, bez=None):
-    """The entry grid of the coefficient map on any labels: the column
-    ("mult", j, g) holds X^g * f_j along the ("mono", e) rows, the row
-    ("dual", j, g) holds it along the ("slice", e) columns, a (mono,
-    slice) entry is the Bezoutian coefficient when bez is given, and
-    every other entry is domain zero."""
+    """The entry grid of the coupled Koszul complex on any labels: the
+    one scatter behind the assembly, the full map, the sides and every
+    differential.  A label (S, g) with i at position p of S holds
+    (-1)^p X^g f_i along the labels (S minus i, g + e) of its own side,
+    on side 0 as a column and on side 1 as a row (_koszul_key); a
+    (mono, slice) entry is the Bezoutian coefficient when bez is given,
+    and every other entry is domain zero."""
     zero = scalar_zero(sys.domain)
     grid = [[zero] * len(cols) for _ in rows]
     mono_at = {lab[1]: i for i, lab in enumerate(rows) if lab[0] == "mono"}
@@ -111,21 +127,23 @@ def _fill(sys, rows, cols, bez=None):
             row = grid[i]
             for g, j in slice_at.items():
                 row[j] = bterms.get(e + g, zero)
-    for j, lab in enumerate(cols):
-        if lab[0] == "mult":
-            _, k, g = lab
-            for e, c in sys.polys[k - 1].terms.items():
-                i = mono_at.get(tuple(a + b for a, b in zip(e, g)))
-                if i is not None:
-                    grid[i][j] = c
-    for i, lab in enumerate(rows):
-        if lab[0] == "dual":
-            _, k, g = lab
-            row = grid[i]
-            for e, c in sys.polys[k - 1].terms.items():
-                j = slice_at.get(tuple(a + b for a, b in zip(e, g)))
-                if j is not None:
-                    row[j] = c
+    row_keys = [_koszul_key(lab) for lab in rows]
+    col_keys = [_koszul_key(lab) for lab in cols]
+    for side, src, dst in ((0, col_keys, row_keys), (1, row_keys, col_keys)):
+        at = {}
+        for b, (dst_side, s, g) in enumerate(dst):
+            if dst_side == side:
+                at.setdefault(s, {})[g] = b
+        for a, (src_side, s, g) in enumerate(src):
+            if src_side != side:
+                continue
+            for p, k in enumerate(s):
+                rest_at = at.get(s[:p] + s[p + 1:], {})
+                for e, c in sys.polys[k - 1].terms.items():
+                    b = rest_at.get(tuple(x + y for x, y in zip(e, g)))
+                    if b is not None:
+                        i, j = (a, b) if side else (b, a)
+                        grid[i][j] = c if p % 2 == 0 else -c
     return grid
 
 
@@ -205,50 +223,36 @@ def full_assembly(sys, t, bez=None):
 # sign normalization against the pure power system
 # ---------------------------------------------------------------------------
 
-def _perm_targets(ds, col_labels):
-    """For the pure power system, each column of the assembly holds a
-    single +1; return the row label carrying it for each column."""
-    d = ds.degrees
-    targets = []
-    for cl in col_labels:
-        if cl[0] == "slice":
-            g = cl[1]
-            over = [i for i in range(ds.n) if g[i] >= d[i]]
-            if not over:
-                targets.append(("mono", tuple(d[i] - 1 - g[i] for i in range(ds.n))))
-            else:
-                j = min(over)
-                g2 = list(g)
-                g2[j] -= d[j]
-                targets.append(("dual", j + 1, tuple(g2)))
-        else:
-            _, j, g = cl
-            g2 = list(g)
-            g2[j - 1] += d[j - 1]
-            targets.append(("mono", tuple(g2)))
-    return targets
-
-
-def _perm_sign_for(ds, row_labels, col_labels):
-    pos = {lab: i for i, lab in enumerate(row_labels)}
-    perm = []
-    for cl, target in zip(col_labels, _perm_targets(ds, col_labels)):
-        if target not in pos:
-            raise AssertionError("power-system image %r of column %r is not a row"
-                                 % (target, cl))
-        perm.append(pos[target])
-    if sorted(perm) != list(range(len(row_labels))):
+def _perm_sign_for(power, bez, row_labels, col_labels):
+    """The determinant of _fill on the pure power system: every column
+    holds a single +1, so it is the sign of the permutation read from
+    the nonzero pattern."""
+    grid = _fill(power, row_labels, col_labels, bez)
+    hits = sorted((j, i) for i, row in enumerate(grid)
+                  for j, c in enumerate(row) if c)
+    perm = [i for _, i in hits]
+    if ([j for j, _ in hits] != list(range(len(col_labels)))
+            or sorted(perm) != list(range(len(row_labels)))):
         raise AssertionError("power-system specialization is not a bijection")
     return permutation_sign(perm)
 
 
+@functools.lru_cache
 def sign_normalization(ds, t):
     """The sign of det(M_t)/det(extraneous) at the pure power system,
-    computed combinatorially without building any matrix."""
+    read through _fill from its permutation pattern; memoized, since it
+    depends on the degrees and t alone."""
+    power = monomial_system(ds.degrees)
+    # its incremental-quotient matrix is diagonal, so the Bezoutian is
+    # prod_i sum_u X_i^u Y_i^(d_i - 1 - u)
+    d = ds.degrees
+    bez = Bezoutian(power, MPoly(2 * ds.n, "int", {
+        x + tuple(k - 1 - u for k, u in zip(d, x)): 1
+        for x in itertools.product(*(range(k) for k in d))}))
     rows, cols = assembly_labels(ds, t)
-    sign_m = _perm_sign_for(ds, rows, cols)
+    sign_m = _perm_sign_for(power, bez, rows, cols)
     e_rows, e_cols, dual_rows, dual_cols = _extraneous_labels(ds, t)
-    sign_e = _perm_sign_for(ds, e_rows + dual_rows, dual_cols + e_cols)
+    sign_e = _perm_sign_for(power, bez, e_rows + dual_rows, dual_cols + e_cols)
     return sign_m * sign_e
 
 

@@ -1,16 +1,18 @@
 """The coupled Koszul complex behind the quotient formulas.
 
-Term ranks are pure combinatorics; for specialized systems the
-differentials are built explicitly and their ranks certify exactness,
-which happens precisely when the resultant does not vanish.
+Term ranks are pure combinatorics.  Every differential is the one
+Koszul scatter of assembly._fill on the labels of its two terms, the
+middle one being the unrestricted assembly; for specialized systems
+their ranks certify exactness, which happens precisely when the
+resultant does not vanish.
 """
 
 import itertools
 
 from ..combinat import critical_degree, monomial_basis
-from ..corering import ParamRing, scalar_is_zero, scalar_zero
+from ..corering import ParamRing, scalar_is_zero
 from ..linalg import LabeledMatrix, grid_mul, rank_over_fractions
-from .assembly import _coeff_of_shifted, full_assembly, full_labels
+from .assembly import _fill, full_assembly, full_labels
 
 
 def _index_subsets(n, size):
@@ -42,55 +44,14 @@ def _term_labels(ds, t, k):
     return labels
 
 
-def _as_pair(label):
-    """Normalize any multiplier-flavored label to (index tuple, exponent)."""
-    if label[0] in ("k", "dualk"):
-        return label[1], label[2]
-    return (label[1],), label[2]
-
-
-def _koszul_scalar(sys, big, g, small, m, zero):
-    """One entry of the downward Koszul differential: the coefficient
-    with its alternating sign when small is big minus one index, zero
-    otherwise."""
-    if len(small) != len(big) - 1 or not set(small) <= set(big):
-        return zero
-    dropped = (set(big) - set(small)).pop()
-    pos = big.index(dropped)
-    c = _coeff_of_shifted(sys.polys[dropped - 1], m, g)
-    return c if pos % 2 == 0 else -c
-
-
 def _differential(sys, t, k):
-    """The matrix of the map from slot k to slot k+1."""
-    ds = sys.ds
+    """The matrix of the map from slot k to slot k+1: full_assembly for
+    k = -1, otherwise the Koszul scatter of _fill on the term labels."""
     if k == -1:
         return full_assembly(sys, t)
-    cols = _term_labels(ds, t, k)
-    rows = _term_labels(ds, t, k + 1)
-    zero = scalar_zero(sys.domain)
-    grid = []
-    if k <= -2:
-        for rl in rows:
-            if rl[0] == "slice":
-                grid.append([zero] * len(cols))
-                continue
-            small, m = _as_pair(rl)
-            grid.append([_koszul_scalar(sys, cl[1], cl[2], small, m, zero)
-                         for cl in cols])
-    else:
-        # dual side: transposed Koszul maps at the complementary degree
-        for rl in rows:
-            big, g = _as_pair(rl)
-            row = []
-            for cl in cols:
-                if cl[0] == "mono":
-                    row.append(zero)
-                else:
-                    small, m = _as_pair(cl)
-                    row.append(_koszul_scalar(sys, big, g, small, m, zero))
-            grid.append(row)
-    return LabeledMatrix(rows, cols, grid, sys.domain)
+    rows = _term_labels(sys.ds, t, k + 1)
+    cols = _term_labels(sys.ds, t, k)
+    return LabeledMatrix(rows, cols, _fill(sys, rows, cols), sys.domain)
 
 
 class ComplexProfile:

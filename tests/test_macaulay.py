@@ -150,14 +150,59 @@ def test_entries_implement_the_three_populated_blocks():
 
 
 def test_sign_normalization_frozen_values():
-    assert [sign_normalization(DegreeSystem((1, 2)), t)
-            for t in range(3)] == [-1, -1, 1]
-    assert [sign_normalization(DegreeSystem((1, 1, 2)), t)
-            for t in range(3)] == [1, 1, 1]
-    assert [sign_normalization(DegreeSystem((1, 1, 2, 3)), t)
-            for t in range(5)] == [1, -1, -1, 1, 1]
-    assert [sign_normalization(DegreeSystem((2, 2)), t)
-            for t in range(4)] == [-1, -1, -1, 1]
+    # every degree system in {1,2,3}^n for n <= 3 and the n = 4 ones with
+    # sum(d) <= 9, one sign per t = 0..tcrit+2; permuted tuples such as
+    # (1, 1, 2) and (2, 1, 1) differ, so the memo must key on the order
+    table = {
+        (1,): "+++", (2,): "++++", (3,): "+++++", (1, 1): "+++",
+        (1, 2): "--++", (1, 3): "+-+++", (2, 1): "++++", (2, 2): "---++",
+        (2, 3): "+--+++", (3, 1): "+-+++", (3, 2): "----++", (3, 3): "+---+++",
+        (1, 1, 1): "+++", (1, 1, 2): "++++", (1, 1, 3): "-+-++",
+        (1, 2, 1): "--++", (1, 2, 2): "+++++", (1, 2, 3): "+--+++",
+        (1, 3, 1): "-+-++", (1, 3, 2): "----++", (1, 3, 3): "+-+-+++",
+        (2, 1, 1): "+++-", (2, 1, 2): "+++-+", (2, 1, 3): "-++-+-",
+        (2, 2, 1): "+++++", (2, 2, 2): "+--+++", (2, 2, 3): "--+--++",
+        (2, 3, 1): "-++-+-", (2, 3, 2): "--+---+", (2, 3, 3): "+----++-",
+        (3, 1, 1): "++++-", (3, 1, 2): "-----+", (3, 1, 3): "-+++-+-",
+        (3, 2, 1): "++++++", (3, 2, 2): "--+--++", (3, 2, 3): "-+--+-++",
+        (3, 3, 1): "--+--+-", (3, 3, 2): "+----+-+", (3, 3, 3): "++-+-+++-",
+        (1, 1, 1, 1): "+++", (1, 1, 1, 2): "--++", (1, 1, 1, 3): "---++",
+        (1, 1, 2, 1): "++++", (1, 1, 2, 2): "+-+++", (1, 1, 2, 3): "+--+++",
+        (1, 1, 3, 1): "---++", (1, 1, 3, 2): "----++", (1, 1, 3, 3): "+---+++",
+        (1, 2, 1, 1): "--+-", (1, 2, 1, 2): "+-+-+", (1, 2, 1, 3): "-++-+-",
+        (1, 2, 2, 1): "+-+++", (1, 2, 2, 2): "+--+++", (1, 2, 2, 3): "--+--++",
+        (1, 2, 3, 1): "-++-+-", (1, 2, 3, 2): "--+---+",
+        (1, 2, 3, 3): "-+--+-+-", (1, 3, 1, 1): "+-++-",
+        (1, 3, 1, 2): "-----+", (1, 3, 1, 3): "-+-+-+-",
+        (1, 3, 2, 1): "++++++", (1, 3, 2, 2): "--+--++",
+        (1, 3, 2, 3): "+----+++", (1, 3, 3, 1): "-----+-",
+        (1, 3, 3, 2): "-+--+--+", (2, 1, 1, 1): "++++", (2, 1, 1, 2): "+-+-+",
+        (2, 1, 1, 3): "----++", (2, 1, 2, 1): "+-+++", (2, 1, 2, 2): "++++++",
+        (2, 1, 2, 3): "-+++---", (2, 1, 3, 1): "----++",
+        (2, 1, 3, 2): "-+++-+-", (2, 1, 3, 3): "+----+++",
+        (2, 2, 1, 1): "+-+++", (2, 2, 1, 2): "+--+--", (2, 2, 1, 3): "+-+-+++",
+        (2, 2, 2, 1): "-++-++", (2, 2, 2, 2): "-+-+-++",
+        (2, 2, 2, 3): "+-++-+++", (2, 2, 3, 1): "+++++++",
+        (2, 2, 3, 2): "--------", (2, 3, 1, 1): "-++---",
+        (2, 3, 1, 2): "--+---+", (2, 3, 1, 3): "+----+--",
+        (2, 3, 2, 1): "-+++-++", (2, 3, 2, 2): "++++++++",
+        (2, 3, 3, 1): "+----+--", (3, 1, 1, 1): "+-+--",
+        (3, 1, 1, 2): "-++--+", (3, 1, 1, 3): "-------",
+        (3, 1, 2, 1): "+--+++", (3, 1, 2, 2): "-+++-++",
+        (3, 1, 2, 3): "-+--+---", (3, 1, 3, 1): "-+-+---",
+        (3, 1, 3, 2): "+----++-", (3, 2, 1, 1): "-++-+-",
+        (3, 2, 1, 2): "-+++-+-", (3, 2, 1, 3): "--++--+-",
+        (3, 2, 2, 1): "+-+-+++", (3, 2, 2, 2): "++--++++",
+        (3, 2, 3, 1): "--++--+-", (3, 3, 1, 1): "-----+-",
+        (3, 3, 1, 2): "------++", (3, 3, 2, 1): "++++++++",
+    }
+    assert len(table) == 39 + 66
+    for degs, want in table.items():
+        ds = DegreeSystem(degs)
+        assert len(want) == critical_degree(ds) + 3
+        got = "".join("+" if sign_normalization(ds, t) > 0 else "-"
+                      for t in range(len(want)))
+        assert got == want, degs
 
 
 def test_monomial_systems_normalize_to_plus_one():
