@@ -8,7 +8,7 @@ of every assembled matrix.
 """
 
 from .combinat import DegreeSystem, critical_degree, monomial_basis
-from .corering import MPoly, ParamRing, scalar_from_int, specialize
+from .corering import MPoly, ParamRing, specialize
 from .linalg import minor_det
 
 
@@ -84,14 +84,14 @@ def generic_system(degrees):
         ds.degrees, [monomial_basis(ds.n, d) for d in ds.degrees])
 
 
-def monomial_system(degrees, domain="int"):
-    """The system f_i = X_i^{d_i}."""
+def monomial_system(degrees):
+    """The integer system f_i = X_i^{d_i}."""
     ds = DegreeSystem(degrees)
     polys = []
     for i, d in enumerate(ds.degrees):
         e = [0] * ds.n
         e[i] = d
-        polys.append(MPoly(ds.n, domain, {tuple(e): scalar_from_int(domain, 1)}))
+        polys.append(MPoly(ds.n, "int", {tuple(e): 1}))
     return PolySystem(ds, polys)
 
 

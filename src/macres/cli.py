@@ -1,7 +1,10 @@
 """Command line front end.
 
 Reads polynomial systems as JSON documents, dispatches to the library,
-and prints results in a stable JSON or text form.  Identical input
+and prints results in a stable JSON or text form.  Each command is a
+function from its arguments to a payload and its text lines; main
+alone reads the clock, prints and picks the exit code.  The scalar and
+monomial text forms are those of macres.corering.  Identical input
 bytes give identical output bytes; timing is attached only on request.
 
 Input document shape:
@@ -17,12 +20,6 @@ coefficient strings are ignored and each listed exponent gets a
 parameter named a_i_k, i the 1-based polynomial index and k the
 1-based canonical rank of the exponent among the degree-d_i monomials.
 
-Symbolic scalars print as, for example, "2*a_1_1^2*a_2_3 - a_3_1":
-terms ordered by total degree then reverse-lexicographic exponent,
-joined with " + " or " - ", integer coefficient first, factors joined
-by "*" with "^" for powers.  Numeric scalars print as plain integers
-or fractions like "22/7".  parse_scalar_text inverts both grammars.
-
 Exit codes: 0 success, 1 usage or parse error, 2 degenerate
 specialization, 3 internal invariant violation (including a failing
 verify suite).
@@ -30,13 +27,11 @@ verify suite).
 
 import argparse
 import json
-import re
 import sys
 import time
 from fractions import Fraction
 
 from .bezoutian import (
-    PolySystem,
     bezoutian,
     generic_system,
     monomial_system,
@@ -51,7 +46,7 @@ from .combinat import (
     monomial_basis,
     rho_size,
 )
-from .corering import InexactDivisionError, MPoly, ParamRing, monomial_key
+from .corering import InexactDivisionError, ParamRing, monomial_text
 from .macaulay import (
     DegenerateSystemError,
     build_assembly,
@@ -175,52 +170,8 @@ def parse_input(data):
 # stable text forms
 # ---------------------------------------------------------------------------
 
-def scalar_text(c):
-    return str(c)
-
-
-_TERM_SPLIT = re.compile(r" ([+-]) ")
-
-
-def parse_scalar_text(text, ring=None):
-    """Invert scalar_text: a Fraction for numeric scalars, a parameter
-    polynomial when the ring is given."""
-    text = text.strip()
-    if ring is None:
-        return Fraction(text)
-    chunks = _TERM_SPLIT.split(text)
-    first = chunks[0]
-    sign = 1
-    if first.startswith("-"):
-        sign, first = -1, first[1:]
-    pending = [(sign, first)]
-    for op, term in zip(chunks[1::2], chunks[2::2]):
-        pending.append((1 if op == "+" else -1, term))
-    out = ring.zero()
-    for sign, term in pending:
-        p = ring.const(sign)
-        for factor in term.split("*"):
-            if "^" in factor:
-                name, _, k = factor.partition("^")
-                p = p * ring.gen(name) ** int(k)
-            elif factor.isdigit():
-                p = p * ring.const(int(factor))
-            else:
-                p = p * ring.gen(factor)
-        out = out + p
-    return out
-
-
 def _mono_text(e):
-    if not any(e):
-        return "1"
-    parts = []
-    for i, k in enumerate(e):
-        if k == 1:
-            parts.append("X%d" % (i + 1))
-        elif k > 1:
-            parts.append("X%d^%d" % (i + 1, k))
-    return "*".join(parts)
+    return monomial_text(["X%d" % (i + 1) for i in range(len(e))], e) or "1"
 
 
 def label_text(label):
@@ -237,29 +188,15 @@ def label_text(label):
     return repr(label)
 
 
-def _param_terms(p):
-    ring = p.ring
-    items = sorted(p.terms.items(),
-                   key=lambda kc: monomial_key(ring.unpack(kc[0])))
-    return [{"c": str(c), "e": list(ring.unpack(k))} for k, c in items]
+def _terms(p):
+    """The terms of an MPoly or ParamPoly as JSON objects, in the
+    monomial order."""
+    return [{"c": str(c), "e": list(e)} for e, c in p.sorted_terms()]
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# command plumbing
 # ---------------------------------------------------------------------------
-
-def _finish(args, started, payload, lines):
-    if getattr(args, "timing", False):
-        payload["timing_seconds"] = round(time.perf_counter() - started, 6)
-        lines = lines + ["timing_seconds: %s" % payload["timing_seconds"]]
-    if args.format == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2))
-        sys.stdout.write("\n")
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
-    return 0
-
 
 def _read_doc(args):
     if args.input == "-":
@@ -290,12 +227,16 @@ SIGN_NOTE_OFF = "raw quotient det(M_t)/det(E_t), no sign normalization"
 # commands
 # ---------------------------------------------------------------------------
 
+def _head(command, doc):
+    return {"command": command, "degrees": list(doc.degrees), "mode": doc.mode}
+
+
 def cmd_resultant(args):
-    started = time.perf_counter()
     doc = _read_doc(args)
     system = doc.system
     t = _pick_t(args, doc)
-    if isinstance(system.domain, ParamRing):
+    symbolic = isinstance(system.domain, ParamRing)
+    if symbolic:
         try:
             out = resultant_generic(system, t,
                                     max_symbolic_size=args.max_symbolic_size)
@@ -309,120 +250,74 @@ def cmd_resultant(args):
     value = out.value
     if not normalized and out.sigma < 0:
         value = -value
-    payload = {
-        "command": "resultant",
-        "degrees": list(doc.degrees),
-        "mode": doc.mode,
-        "t": out.t,
-        "sigma": out.sigma,
-        "normalized": normalized,
-        "sign_note": SIGN_NOTE_ON if normalized else SIGN_NOTE_OFF,
-    }
-    lines = ["t: %d" % out.t, "sigma: %+d" % out.sigma]
-    if isinstance(system.domain, ParamRing):
-        payload["result"] = {
-            "parameters": list(system.domain.names),
-            "terms": _param_terms(value),
-            "text": scalar_text(value),
-        }
-        lines.append("resultant: %s" % scalar_text(value))
+    payload = _head("resultant", doc)
+    payload.update(t=out.t, sigma=out.sigma, normalized=normalized,
+                   sign_note=SIGN_NOTE_ON if normalized else SIGN_NOTE_OFF)
+    if symbolic:
+        payload["result"] = {"parameters": list(system.domain.names),
+                             "terms": _terms(value), "text": str(value)}
     else:
-        payload["result"] = {
-            "value": scalar_text(value),
-            "det_m": scalar_text(out.det_m),
-            "det_extraneous": scalar_text(out.det_ebb),
-        }
-        lines.append("resultant: %s" % scalar_text(value))
-    return _finish(args, started, payload, lines)
+        payload["result"] = {"value": str(value), "det_m": str(out.det_m),
+                             "det_extraneous": str(out.det_ebb)}
+    lines = ["t: %d" % out.t, "sigma: %+d" % out.sigma,
+             "resultant: %s" % value]
+    return payload, lines
 
 
 def cmd_matrix(args):
-    started = time.perf_counter()
     doc = _read_doc(args)
-    system = doc.system
     t = _pick_t(args, doc)
     if t is None:
-        t = minimal_t(system.ds)
-    asm = build_assembly(system, t)
-    m = asm.matrix
+        t = minimal_t(doc.system.ds)
+    m = build_assembly(doc.system, t).matrix
     rows = [label_text(l) for l in m.row_labels]
     cols = [label_text(l) for l in m.col_labels]
-    entries = [[scalar_text(m.entry(i, j)) for j in range(m.ncols)]
+    entries = [[str(m.entry(i, j)) for j in range(m.ncols)]
                for i in range(m.nrows)]
-    payload = {
-        "command": "matrix",
-        "degrees": list(doc.degrees),
-        "mode": doc.mode,
-        "t": t,
-        "size": [m.nrows, m.ncols],
-        "rows": rows,
-        "cols": cols,
-        "entries": entries,
-        "blocks": {name: [list(rr), list(cc)]
-                   for name, (rr, cc) in m.blocks.items()},
-    }
+    payload = _head("matrix", doc)
+    payload.update(t=t, size=[m.nrows, m.ncols], rows=rows, cols=cols,
+                   entries=entries,
+                   blocks={name: [list(rr), list(cc)]
+                           for name, (rr, cc) in m.blocks.items()})
     lines = ["t: %d" % t, "size: %d x %d" % (m.nrows, m.ncols),
              "cols: " + " | ".join(cols)]
     for lab, row in zip(rows, entries):
         lines.append("row %s: %s" % (lab, " | ".join(row)))
-    return _finish(args, started, payload, lines)
+    return payload, lines
 
 
 def cmd_bezoutian(args):
-    started = time.perf_counter()
     doc = _read_doc(args)
-    system = doc.system
-    bez = bezoutian(system)
-    n = system.n
+    n = doc.system.n
     names = ["X%d" % (i + 1) for i in range(n)] + \
             ["Y%d" % (i + 1) for i in range(n)]
-    terms = [{"c": scalar_text(c), "e": list(e)}
-             for e, c in bez.poly.sorted_terms()]
-    payload = {
-        "command": "bezoutian",
-        "degrees": list(doc.degrees),
-        "mode": doc.mode,
-        "variables": names,
-        "terms": terms,
-    }
+    terms = _terms(bezoutian(doc.system).poly)
+    payload = _head("bezoutian", doc)
+    payload.update(variables=names, terms=terms)
     lines = ["variables: " + " ".join(names)]
     for term in terms:
         lines.append("%s: %s" % (",".join(str(x) for x in term["e"]),
                                  term["c"]))
-    return _finish(args, started, payload, lines)
+    return payload, lines
 
 
 def cmd_gcp(args):
-    started = time.perf_counter()
     doc = _read_doc(args)
-    system = doc.system
     t = _pick_t(args, doc)
     try:
-        coeffs = gcp(system, t)
+        coeffs = [str(c) for c in gcp(doc.system, t)]
     except TypeError as ex:
         raise CliError(str(ex))
-    used = t if t is not None else critical_degree(system.ds) + 1
-    payload = {
-        "command": "gcp",
-        "degrees": list(doc.degrees),
-        "mode": doc.mode,
-        "t": used,
-        "coefficients": [str(c) for c in coeffs],
-        "order": "lowest degree first",
-    }
+    used = t if t is not None else critical_degree(doc.system.ds) + 1
+    payload = _head("gcp", doc)
+    payload.update(t=used, coefficients=coeffs, order="lowest degree first")
     lines = ["t: %d" % used,
-             "coefficients (lowest degree first): "
-             + " ".join(str(c) for c in coeffs)]
-    return _finish(args, started, payload, lines)
+             "coefficients (lowest degree first): " + " ".join(coeffs)]
+    return payload, lines
 
 
 def cmd_sizes(args):
-    started = time.perf_counter()
-    if args.degrees:
-        degrees = list(args.degrees)
-    else:
-        doc = _read_doc(args)
-        degrees = list(doc.degrees)
+    degrees = list(args.degrees) if args.degrees else _read_doc(args).degrees
     try:
         ds = DegreeSystem(degrees)
     except ValueError as ex:
@@ -440,7 +335,7 @@ def cmd_sizes(args):
     lines = ["degrees=%s minimal_t=%d minimal=%d classical_t=%d classical=%d"
              % (",".join(str(d) for d in degrees), tmin, row["minimal_size"],
                 tn + 1, row["classical_size"])]
-    return _finish(args, started, payload, lines)
+    return payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +413,8 @@ def _suite_formulas():
     checks = []
 
     def rand_sys(degs, lo=-5, hi=5):
-        n = len(degs)
-        return PolySystem(degs, [
-            MPoly(n, "int",
-                  {e: rng.randint(lo, hi) for e in monomial_basis(n, d)})
+        return system_from_terms(degs, [
+            {e: rng.randint(lo, hi) for e in monomial_basis(len(degs), d)}
             for d in degs])
 
     ok = 0
@@ -549,9 +442,7 @@ def _suite_formulas():
     vals = [univariate_formulas(s22, t).value for t in range(4)]
     checks.append(("binary (2,2) determinants agree at every t",
                    all(v == vals[0] for v in vals)))
-    f1 = MPoly(2, "int", {(1, 1): 1})
-    f2 = MPoly(2, "int", {(2, 0): 1})
-    coeffs = gcp(PolySystem((2, 2), [f1, f2]), 3)
+    coeffs = gcp(system_from_terms((2, 2), [{(1, 1): 1}, {(2, 0): 1}]), 3)
     checks.append(("gcp of the root-at-infinity pair is s^4 - s",
                    coeffs == [0, -1, 0, 0, 1]))
     checks.append(("monomial system resultant is +1",
@@ -567,7 +458,6 @@ SUITES = {
 
 
 def cmd_verify(args):
-    started = time.perf_counter()
     if args.suite == "all":
         names = sorted(SUITES)
     elif args.suite in SUITES:
@@ -589,10 +479,7 @@ def cmd_verify(args):
              for s, c, g in results]
     lines.append("all checks passed" if payload["ok"]
                  else "some checks FAILED")
-    code = _finish(args, started, payload, lines)
-    if not payload["ok"]:
-        return 3
-    return code
+    return payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +545,11 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    clock = time.perf_counter
+    started = clock()
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
     except CliError as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 1
@@ -671,6 +559,15 @@ def main(argv=None):
     except (AssertionError, InexactDivisionError) as ex:
         sys.stderr.write("invariant violation: %s\n" % ex)
         return 3
+    if args.timing:
+        payload["timing_seconds"] = round(clock() - started, 6)
+        lines.append("timing_seconds: %s" % payload["timing_seconds"])
+    if args.format == "json":
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    # a verify report that is not ok is printed in full, then exits 3
+    return 0 if payload.get("ok", True) else 3
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ X_1..X_n (and Y_1..Y_n where needed) are MPoly values whose
 coefficients live in one of those domains.
 """
 
+import re
 from fractions import Fraction
 
 
@@ -26,6 +27,13 @@ def monomial_key(e):
     """Sort key for exponent vectors: total degree ascending, then
     lexicographic descending on the vector itself."""
     return (sum(e), tuple(-c for c in e))
+
+
+def monomial_text(names, e):
+    """The monomial with exponent vector e in the named variables, as
+    "X1^2*X3"; the empty string for the constant monomial."""
+    return "*".join(name if k == 1 else "%s^%d" % (name, k)
+                    for name, k in zip(names, e) if k)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +142,6 @@ class ParamPoly:
         if not isinstance(other, ParamPoly) or other.ring is not self.ring:
             return NotImplemented
         return self.terms == other.terms
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __hash__(self):
         return hash((id(self.ring), tuple(sorted(self.terms.items()))))
@@ -284,30 +288,67 @@ class ParamPoly:
             total += v
         return total
 
+    def sorted_terms(self):
+        """(exponent vector, coefficient) pairs in the monomial order."""
+        return sorted(((self.ring.unpack(k), c) for k, c in self.terms.items()),
+                      key=lambda ec: monomial_key(ec[0]))
+
     def __str__(self):
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda kc: monomial_key(self.ring.unpack(kc[0])))
         parts = []
-        for k, c in items:
-            exps = self.ring.unpack(k)
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(self.ring.names[i])
-                elif e > 1:
-                    factors.append("%s^%d" % (self.ring.names[i], e))
-            if not factors:
+        for e, c in self.sorted_terms():
+            mono = monomial_text(self.ring.names, e)
+            if not mono:
                 body = str(abs(c))
             elif abs(c) == 1:
-                body = "*".join(factors)
+                body = mono
             else:
-                body = str(abs(c)) + "*" + "*".join(factors)
+                body = str(abs(c)) + "*" + mono
             parts.append(("- " if c < 0 else "+ ") + body)
         s = " ".join(parts)
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
     __repr__ = __str__
+
+
+_TERM_SPLIT = re.compile(r" ([+-]) ")
+
+
+def parse_scalar_text(text, ring=None):
+    """Invert the printed form of a scalar: a Fraction for numeric
+    scalars, a ParamPoly when the ring is given.
+
+    Symbolic scalars print as, for example, "2*a_1_1^2*a_2_3 - a_3_1":
+    terms ordered by total degree then reverse-lexicographic exponent,
+    joined with " + " or " - ", integer coefficient first, factors joined
+    by "*" with "^" for powers.  Numeric scalars print as plain integers
+    or fractions like "22/7".
+    """
+    text = text.strip()
+    if ring is None:
+        return Fraction(text)
+    chunks = _TERM_SPLIT.split(text)
+    first = chunks[0]
+    sign = 1
+    if first.startswith("-"):
+        sign, first = -1, first[1:]
+    pending = [(sign, first)]
+    for op, term in zip(chunks[1::2], chunks[2::2]):
+        pending.append((1 if op == "+" else -1, term))
+    out = ring.zero()
+    for sign, term in pending:
+        p = ring.const(sign)
+        for factor in term.split("*"):
+            if "^" in factor:
+                name, _, k = factor.partition("^")
+                p = p * ring.gen(name) ** int(k)
+            elif factor.isdigit():
+                p = p * ring.const(int(factor))
+            else:
+                p = p * ring.gen(factor)
+        out = out + p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +486,6 @@ class MPoly:
         return (self.nvars == other.nvars and self.domain == other.domain
                 and self.terms == other.terms)
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
-    def __hash__(self):
-        raise TypeError("MPoly is not hashable")
-
     # -- arithmetic via operators (delegates to poly_arith) ----------------
 
     def __add__(self, other):
@@ -486,22 +520,17 @@ class MPoly:
                  ["X[%d]" % (i + 1) for i in range(self.nvars)])
         parts = []
         for e, c in self.sorted_terms():
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(names[i])
-                elif k > 1:
-                    factors.append("%s^%d" % (names[i], k))
+            mono = monomial_text(names, e)
             cs = str(c)
             body = ("(%s)" % cs if isinstance(c, ParamPoly) and len(c.terms) > 1
                     else cs)
-            if factors:
+            if mono:
                 if body == "1":
-                    body = "*".join(factors)
+                    body = mono
                 elif body == "-1":
-                    body = "-" + "*".join(factors)
+                    body = "-" + mono
                 else:
-                    body = body + "*" + "*".join(factors)
+                    body = body + "*" + mono
             parts.append(body)
         return " + ".join(parts)
 

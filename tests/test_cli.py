@@ -10,14 +10,14 @@ from fractions import Fraction
 import pytest
 
 import macres
+from macres import cli
 from macres.cli import (
     CliError,
     label_text,
     main,
     parse_input,
-    parse_scalar_text,
 )
-from macres.corering import ParamRing
+from macres.corering import ParamRing, parse_scalar_text
 
 
 GENERIC_112 = b'{"degrees": [1, 1, 2], "mode": "generic"}'
@@ -388,6 +388,38 @@ def test_verify_subcommand(capsys):
     assert all(c["ok"] for c in payload["checks"])
 
 
+# sha256 of the `macres verify all` stdout, in json and in text
+VERIFY_ALL_SHA256 = {
+    "json": "7469156a78c6b1cc667859b974ff1c59acd7f526dc89c2ee78349c3c6c81b6d2",
+    "text": "37a43dd144b44f9af78d2556f142b5c4225d803c9136db860ffa0a4120398b96",
+}
+
+
+def test_verify_all_output_is_frozen(capsys):
+    for fmt, digest in VERIFY_ALL_SHA256.items():
+        assert main(["verify", "all", "--format", fmt]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, fmt
+
+
+def test_failing_verify_suite_prints_its_report_and_exits_3(
+        monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SUITES", {
+        "broken": lambda: [("holds", True), ("does not hold", False)]})
+    assert main(["verify", "broken"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["ok"] is False
+    assert [(c["name"], c["ok"]) for c in payload["checks"]] == [
+        ("holds", True), ("does not hold", False)]
+    assert main(["verify", "all", "--format", "text"]) == 3
+    assert capsys.readouterr().out == (
+        "ok    [broken] holds\n"
+        "FAIL  [broken] does not hold\n"
+        "some checks FAILED\n")
+
+
 def test_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "bogus"]) == 1
     capsys.readouterr()
@@ -397,3 +429,8 @@ def test_timing_flag_adds_field(tmp_path, capsys):
     run_cli(["resultant", "--timing"], INT_12, tmp_path)
     payload = json.loads(capsys.readouterr().out)
     assert "timing_seconds" in payload
+    run_cli(["resultant", "--timing", "--format", "text"], INT_12, tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "resultant: 5"
+    assert lines[-1].startswith("timing_seconds: ")
+    float(lines[-1].split(": ")[1])
